@@ -18,6 +18,34 @@
 //! * the time axis is bucketed (`time_buckets`), the resolution-limiting
 //!   measure §III-B prescribes so table construction stays far below 1 %
 //!   of a time slice.
+//!
+//! # Chain evaluation
+//!
+//! Algorithm 2 reads each cluster's table in one row only, the full
+//! budget `t = buckets`. Algorithm 1 is therefore solved for that row
+//! alone, never for the whole `(buckets+1) × (K+1)` table. With the two
+//! spaces of a cluster, `[MRAM, SRAM]`, the recurrence splits:
+//!
+//! * layer 0 (MRAM) has a closed form: `E0(t, k)` is `e_m` added `k`
+//!   times, left to right, when `k ≤ cap_m` and `k·t_m ≤ t`, and `+∞`
+//!   otherwise; its MRAM count is `k` (0 when infeasible);
+//! * layer 1 (SRAM) reads only `(t − t_s, k − 1)`, so `E1(buckets, k)`
+//!   depends on exactly one diagonal chain of cells,
+//!   `(buckets − j·t_s, k − j)`.
+//!
+//! Each chain is walked from its deepest cell, `j = min(k,
+//! ⌊buckets/t_s⌋)`, up to `j = 0`. All chains of a cluster climb in
+//! lockstep, one level `j` at a time, so the inner loop runs over
+//! independent chains rather than along one serial dependency. That
+//! costs `O(K · min(K, buckets/t_s))` time and `O(K)` memory per
+//! cluster, against `O(K · buckets)` time and memory for the full
+//! table.
+//!
+//! The walk is bit-identical to the table DP, which the tests keep as
+//! the oracle. Three rules make it so: MRAM energies are the same
+//! sequential f64 sum (never `k·e_m`); the add-one branch wins only on
+//! a strict `<`, so a tie keeps the skip branch and its MRAM count; and
+//! the `count < cap_s` guard reads the predecessor's SRAM path count.
 
 use crate::cost::CostModel;
 use crate::space::{Placement, StorageSpace};
@@ -74,48 +102,41 @@ pub struct OptimalPlacement {
     pub task_time: SimDuration,
 }
 
-/// Per-cluster DP table: Algorithm 1 over the cluster's `[MRAM, SRAM]`
-/// spaces.
+/// Algorithm 1 over one cluster's `[MRAM, SRAM]` spaces, at the full
+/// time budget `t = buckets`: the only row Algorithm 2 reads.
 ///
-/// The table carries columns only up to `k_max` — the caller caps it
-/// at the cluster's capacity and (when a warm-start bound is known) at
-/// the largest group count whose energy could still beat the bound;
-/// columns beyond the cap are infeasible or provably suboptimal, so
+/// The row carries columns only up to the `k_max` it was built with.
+/// The caller caps that at the cluster's capacity and at what fits the
+/// time budget; columns beyond it are infeasible, so
 /// [`ClusterDp::energy_at`] answers `f64::INFINITY` for them without
-/// ever computing a cell.
+/// computing anything.
 #[derive(Debug, Clone)]
 struct ClusterDp {
-    k_max: usize,
-    /// `energy[t * (k_max+1) + k]`, pJ; `f64::INFINITY` = infeasible.
+    /// `energy[k]`, pJ, for `k` groups; `f64::INFINITY` = infeasible.
     energy: Vec<f64>,
-    /// Groups placed in MRAM on the optimal path.
+    /// Groups placed in MRAM on the optimal path for `k` groups.
     mram: Vec<u32>,
 }
 
+/// An Algorithm 1 solver: `(k_max, buckets, t_bucketed, e_pj, caps)` →
+/// the cluster's `t = buckets` row.
+type Algorithm1 = fn(usize, usize, [usize; 2], [f64; 2], [usize; 2]) -> ClusterDp;
+
 impl ClusterDp {
-    #[inline]
-    fn idx(&self, t: usize, k: usize) -> usize {
-        t * (self.k_max + 1) + k
+    fn energy_at(&self, k: usize) -> f64 {
+        self.energy.get(k).copied().unwrap_or(f64::INFINITY)
     }
 
-    fn energy_at(&self, t: usize, k: usize) -> f64 {
-        if k > self.k_max {
-            return f64::INFINITY;
-        }
-        self.energy[self.idx(t, k)]
+    fn mram_at(&self, k: usize) -> u32 {
+        self.mram.get(k).copied().unwrap_or(0)
     }
 
-    fn mram_at(&self, t: usize, k: usize) -> u32 {
-        if k > self.k_max {
-            return 0;
-        }
-        self.mram[self.idx(t, k)]
-    }
-
-    /// Algorithm 1 for one cluster.
+    /// Algorithm 1 for one cluster by chain evaluation (module docs):
+    /// `energy[k]`, `mram[k]` and `count[k]` hold chain k's current
+    /// cell, its SRAM path count included.
     ///
-    /// `spaces` are the cluster's `[MRAM, SRAM]`; `t_i` in buckets,
-    /// `e_i` in pJ, `cap_i` in groups.
+    /// `t_i` in buckets (`≥ 1`), `e_i` in pJ, `cap_i` in groups, each
+    /// ordered `[MRAM, SRAM]`.
     fn build(
         k_max: usize,
         buckets: usize,
@@ -123,57 +144,76 @@ impl ClusterDp {
         e_pj: [f64; 2],
         caps: [usize; 2],
     ) -> Self {
-        let cells = (buckets + 1) * (k_max + 1);
-        // Layer i-1 = "no spaces considered": only k = 0 is feasible.
-        let mut prev_energy = vec![f64::INFINITY; cells];
-        let mut prev_mram = vec![0u32; cells];
-        for t in 0..=buckets {
-            prev_energy[t * (k_max + 1)] = 0.0;
+        let [t_m, t_s] = t_bucketed;
+        let [e_m, e_s] = e_pj;
+        let [cap_m, cap_s] = caps;
+        // Layer 0: `mram_sum[k]` is `e_m` added k times left to right,
+        // the order the table DP adds in.
+        let mut mram_sum = vec![0.0];
+        for k in 1..=k_max.min(cap_m) {
+            mram_sum.push(mram_sum[k - 1] + e_m);
         }
-        let mut energy = prev_energy.clone();
-        let mut mram = prev_mram.clone();
-
-        for (i, ((ti, ei), cap)) in t_bucketed.into_iter().zip(e_pj).zip(caps).enumerate() {
-            // `count` of space-i selections on the optimal path, used both
-            // for path recovery and capacity enforcement.
-            let mut count = vec![0u32; cells];
-            energy.copy_from_slice(&prev_energy);
-            mram.copy_from_slice(&prev_mram);
-            for k in 1..=k_max {
-                for t in 0..=buckets {
-                    let cell = t * (k_max + 1) + k;
-                    // Skip branch: dp[i-1][t][k].
-                    let mut best = prev_energy[cell];
-                    let mut best_count = 0u32;
-                    let mut best_mram = prev_mram[cell];
-                    // Add-one branch: dp[i][t - ti][k - 1] + ei, guarded
-                    // by the time budget and the space capacity.
-                    if ti <= t {
-                        let pred = (t - ti) * (k_max + 1) + (k - 1);
-                        let pred_count = count[pred];
-                        if (pred_count as usize) < cap {
-                            let cand = energy[pred] + ei;
-                            if cand < best {
-                                best = cand;
-                                best_count = pred_count + 1;
-                                best_mram = if i == 0 { mram[pred] + 1 } else { mram[pred] };
-                            }
-                        }
-                    }
-                    energy[cell] = best;
-                    count[cell] = best_count;
-                    mram[cell] = best_mram;
-                }
+        // Chain k's deepest cell is j = min(k, D), D = ⌊buckets/t_s⌋:
+        // (buckets − k·t_s, 0) = 0 pJ when k ≤ D, else the MRAM-only
+        // cell (buckets − D·t_s, k − D).
+        let d = buckets / t_s;
+        // Layer 0 holds k groups at time t iff k ≤ limit(t).
+        let limit = |t: usize| (mram_sum.len() - 1).min(t / t_m);
+        let mut energy = vec![0.0; k_max + 1];
+        let mut mram = vec![0u32; k_max + 1];
+        let mut count = vec![0u32; k_max + 1];
+        let deep = limit(buckets - d * t_s);
+        for k in d + 1..=k_max {
+            (energy[k], mram[k]) = if k - d <= deep {
+                (mram_sum[k - d], (k - d) as u32)
+            } else {
+                (f64::INFINITY, 0)
+            };
+        }
+        // Walk every chain one level up at a time: level j updates
+        // chains k > j at their cell (buckets − j·t_s, k − j), whose
+        // MRAM-only skip branch is finite for k − j ≤ limit.
+        for j in (0..k_max.min(d)).rev() {
+            let split = (j + limit(buckets - j * t_s)).min(k_max);
+            let (finite, infinite) = (j + 1..split + 1, split + 1..k_max + 1);
+            for (((e, m), c), (&skip_e, skip_m)) in energy[finite.clone()]
+                .iter_mut()
+                .zip(&mut mram[finite.clone()])
+                .zip(&mut count[finite])
+                .zip(mram_sum[1..].iter().zip(1u32..))
+            {
+                climb(e, m, c, e_s, cap_s, skip_e, skip_m);
             }
-            prev_energy.copy_from_slice(&energy);
-            prev_mram.copy_from_slice(&mram);
+            for ((e, m), c) in energy[infinite.clone()]
+                .iter_mut()
+                .zip(&mut mram[infinite.clone()])
+                .zip(&mut count[infinite])
+            {
+                climb(e, m, c, e_s, cap_s, f64::INFINITY, 0);
+            }
         }
-        ClusterDp {
-            k_max,
-            energy,
-            mram,
-        }
+        ClusterDp { energy, mram }
     }
+}
+
+/// One step up an SRAM chain: add one more SRAM group to the cell
+/// below (`e`, `m`, `count`) when capacity allows and that is strictly
+/// cheaper than the skip branch, else restart from the skip branch.
+#[inline(always)]
+fn climb(
+    e: &mut f64,
+    m: &mut u32,
+    count: &mut u32,
+    e_s: f64,
+    cap_s: usize,
+    skip_e: f64,
+    skip_m: u32,
+) {
+    let cand = *e + e_s;
+    let take = ((*count as usize) < cap_s) & (cand < skip_e);
+    *e = if take { cand } else { skip_e };
+    *m = if take { *m } else { skip_m };
+    *count = if take { *count + 1 } else { 0 };
 }
 
 /// The placement optimizer over a [`CostModel`].
@@ -252,31 +292,16 @@ impl<'a> PlacementOptimizer<'a> {
     /// Runs Algorithms 1 + 2 for one `t_constraint`; `None` when no
     /// placement can meet the deadline (the gray region of Fig. 6).
     pub fn optimize(&self, t_constraint: SimDuration) -> Option<OptimalPlacement> {
-        self.optimize_seeded(t_constraint, None)
+        self.optimize_with(t_constraint, ClusterDp::build)
     }
 
-    /// [`PlacementOptimizer::optimize`] warm-started with a known-good
-    /// `seed` placement (typically the previous [`AllocationLut`]
-    /// entry): when the seed is feasible under the DP's own bucketed
-    /// arithmetic, its objective is a valid upper bound on the DP
-    /// optimum, which caps how many groups a single cluster could
-    /// possibly hold on any optimal path — shrinking the Algorithm 1
-    /// tables without changing any answer.
-    ///
-    /// The result is **provably identical** to the cold
-    /// [`PlacementOptimizer::optimize`]:
-    ///
-    /// * a DP-feasible seed guarantees the bucketed optimum's energy
-    ///   is ≤ the seed's (the seed is one of the states the tables
-    ///   cover), and per-group energies are non-negative, so every
-    ///   prefix of an optimal path stays ≤ the bound — no capped
-    ///   column can hold a cell of any optimal (or tied-optimal) path;
-    /// * a seed that is *not* DP-feasible contributes no bound and the
-    ///   cold path runs unchanged.
-    pub fn optimize_seeded(
+    /// [`PlacementOptimizer::optimize`] with the Algorithm 1 solver as a
+    /// parameter, so the tests can run the table-DP oracle through the
+    /// same Algorithm 2.
+    fn optimize_with(
         &self,
         t_constraint: SimDuration,
-        seed: Option<&Placement>,
+        algorithm1: Algorithm1,
     ) -> Option<OptimalPlacement> {
         let k = self.cost.k_groups();
         if k == 0 {
@@ -311,30 +336,6 @@ impl<'a> PlacementOptimizer<'a> {
         let quantize =
             |d: SimDuration| -> usize { (d.as_ps().div_ceil(bucket_ps) as usize).max(1) };
 
-        // Warm start: a seed that is valid and feasible under the DP's
-        // own ceiling-quantized times yields an upper bound (its exact
-        // Σ e_i·x_i, the same per-group energies the tables add) on the
-        // bucketed optimum.
-        let seed_bound = seed.and_then(|p| {
-            if !self.cost.is_valid(p) {
-                return None;
-            }
-            for cluster in ClusterClass::ALL {
-                let bucketed: usize = StorageSpace::of_cluster(cluster)
-                    .into_iter()
-                    .map(|s| quantize(self.cost.time_per_group(s)) * p.get(s))
-                    .sum();
-                if bucketed > buckets {
-                    return None;
-                }
-            }
-            let e: f64 = p
-                .occupied()
-                .map(|(s, n)| self.e_pj(s, t_constraint) * n as f64)
-                .sum();
-            Some(e)
-        });
-
         let build_cluster = |cluster: ClusterClass| -> Option<ClusterDp> {
             if self.cost.arch().modules_in(cluster) == 0 {
                 return None;
@@ -347,39 +348,28 @@ impl<'a> PlacementOptimizer<'a> {
             let e_pj = [self.e_pj(m, t_constraint), self.e_pj(s, t_constraint)];
             let caps = [self.cost.capacity_groups(m), self.cost.capacity_groups(s)];
             // Columns the cluster can never populate are not computed:
-            // beyond its capacity, beyond what fits the full time
-            // budget (every selection costs ≥ min(t_i) buckets), and —
-            // given a warm-start bound — beyond what the bound's energy
-            // allows (every selection costs ≥ min(e_i) pJ). All three
-            // caps only remove provably infeasible/suboptimal columns,
-            // so results are bit-identical to the uncapped build.
-            let mut k_cap = k.min(caps[0] + caps[1]);
-            k_cap = k_cap.min(buckets / t_bucketed[0].min(t_bucketed[1]).max(1));
-            if let Some(bound) = seed_bound {
-                let e_min = e_pj[0].min(e_pj[1]);
-                if e_min > 0.0 {
-                    let affordable = (bound * (1.0 + 1e-9) / e_min).floor();
-                    if affordable < k_cap as f64 {
-                        k_cap = affordable.max(0.0) as usize;
-                    }
-                }
-            }
-            Some(ClusterDp::build(k_cap, buckets, t_bucketed, e_pj, caps))
+            // beyond its capacity, and beyond what fits the full time
+            // budget (every selection costs ≥ min(t_i) buckets). Both
+            // caps only remove infeasible columns, so results are
+            // bit-identical to the uncapped build.
+            let k_cap = k
+                .min(caps[0] + caps[1])
+                .min(buckets / t_bucketed[0].min(t_bucketed[1]));
+            Some(algorithm1(k_cap, buckets, t_bucketed, e_pj, caps))
         };
         let hp = build_cluster(ClusterClass::HighPerformance);
         let lp = build_cluster(ClusterClass::LowPower);
 
         // Algorithm 2: scan k_hp at the full budget t = buckets.
-        let t = buckets;
         let mut best: Option<(f64, Placement)> = None;
         match (&hp, &lp) {
             (Some(hp), Some(lp)) => {
                 for k_hp in 0..=k {
                     let k_lp = k - k_hp;
-                    let e = hp.energy_at(t, k_hp) + lp.energy_at(t, k_lp);
+                    let e = hp.energy_at(k_hp) + lp.energy_at(k_lp);
                     if e.is_finite() && best.as_ref().is_none_or(|(b, _)| e < *b) {
-                        let hp_m = hp.mram_at(t, k_hp) as usize;
-                        let lp_m = lp.mram_at(t, k_lp) as usize;
+                        let hp_m = hp.mram_at(k_hp) as usize;
+                        let lp_m = lp.mram_at(k_lp) as usize;
                         let placement =
                             Placement::from_counts([hp_m, k_hp - hp_m, lp_m, k_lp - lp_m]);
                         best = Some((e, placement));
@@ -387,9 +377,9 @@ impl<'a> PlacementOptimizer<'a> {
                 }
             }
             (Some(single), None) | (None, Some(single)) => {
-                let e = single.energy_at(t, k);
+                let e = single.energy_at(k);
                 if e.is_finite() {
-                    let m = single.mram_at(t, k) as usize;
+                    let m = single.mram_at(k) as usize;
                     let counts = if hp.is_some() {
                         [m, k - m, 0, 0]
                     } else {
@@ -472,44 +462,19 @@ pub struct AllocationLut {
 
 impl AllocationLut {
     /// Builds the LUT for task counts `1..=max_tasks`, each with its
-    /// `t_constraint = usable_slice / n`, warm-starting every entry's
-    /// knapsack with the previous entry's placement (see
-    /// [`PlacementOptimizer::optimize_seeded`] — contents are provably
-    /// identical to the cold build, just cheaper).
+    /// `t_constraint = usable_slice / n`.
     pub fn build(
         optimizer: &PlacementOptimizer<'_>,
         usable_slice: SimDuration,
         max_tasks: u32,
     ) -> Self {
-        Self::build_with(optimizer, usable_slice, max_tasks, true)
-    }
-
-    /// [`AllocationLut::build`] with the warm start switchable —
-    /// `warm_start: false` runs every entry's DP cold (the reference
-    /// path the warm build is property-tested against).
-    pub fn build_with(
-        optimizer: &PlacementOptimizer<'_>,
-        usable_slice: SimDuration,
-        max_tasks: u32,
-        warm_start: bool,
-    ) -> Self {
-        let mut entries = Vec::with_capacity(max_tasks as usize);
-        let mut t_constraints = Vec::with_capacity(max_tasks as usize);
-        let mut seed: Option<Placement> = None;
-        for n in 1..=max_tasks {
-            let t_c = usable_slice / n as u64;
-            t_constraints.push(t_c);
-            let entry = optimizer.optimize_seeded(t_c, seed.as_ref());
-            if warm_start {
-                // Carry the last feasible placement forward; the next
-                // entry only uses it if it still fits its own bucketed
-                // budget.
-                seed = entry.as_ref().map(|e| e.placement).or(seed);
-            }
-            entries.push(entry);
-        }
+        let t_constraints: Vec<SimDuration> =
+            (1..=max_tasks).map(|n| usable_slice / n as u64).collect();
         AllocationLut {
-            entries,
+            entries: t_constraints
+                .iter()
+                .map(|&t| optimizer.optimize(t))
+                .collect(),
             t_constraints,
         }
     }
@@ -602,6 +567,7 @@ mod tests {
     use crate::arch::Architecture;
     use crate::cost::{CostModel, CostParams, WorkloadProfile};
     use hhpim_nn::TinyMlModel;
+    use proptest::prelude::*;
 
     fn small_cost(weight_bytes: usize) -> CostModel {
         // Small K for brute-force comparisons.
@@ -769,54 +735,160 @@ mod tests {
         assert_eq!(over.placement, largest_feasible.placement);
     }
 
+    /// The bit-identity oracle: Algorithm 1 as the full 2-D table DP
+    /// (`energy[t * (k_max+1) + k]`, both layers), from which only the
+    /// `t = buckets` row is kept.
+    fn table_dp(
+        k_max: usize,
+        buckets: usize,
+        t_bucketed: [usize; 2],
+        e_pj: [f64; 2],
+        caps: [usize; 2],
+    ) -> ClusterDp {
+        let cells = (buckets + 1) * (k_max + 1);
+        // Layer i-1 = "no spaces considered": only k = 0 is feasible.
+        let mut prev_energy = vec![f64::INFINITY; cells];
+        let mut prev_mram = vec![0u32; cells];
+        for t in 0..=buckets {
+            prev_energy[t * (k_max + 1)] = 0.0;
+        }
+        let mut energy = prev_energy.clone();
+        let mut mram = prev_mram.clone();
+
+        for (i, ((ti, ei), cap)) in t_bucketed.into_iter().zip(e_pj).zip(caps).enumerate() {
+            // `count` of space-i selections on the optimal path, used both
+            // for path recovery and capacity enforcement.
+            let mut count = vec![0u32; cells];
+            energy.copy_from_slice(&prev_energy);
+            mram.copy_from_slice(&prev_mram);
+            for k in 1..=k_max {
+                for t in 0..=buckets {
+                    let cell = t * (k_max + 1) + k;
+                    // Skip branch: dp[i-1][t][k].
+                    let mut best = prev_energy[cell];
+                    let mut best_count = 0u32;
+                    let mut best_mram = prev_mram[cell];
+                    // Add-one branch: dp[i][t - ti][k - 1] + ei, guarded
+                    // by the time budget and the space capacity.
+                    if ti <= t {
+                        let pred = (t - ti) * (k_max + 1) + (k - 1);
+                        let pred_count = count[pred];
+                        if (pred_count as usize) < cap {
+                            let cand = energy[pred] + ei;
+                            if cand < best {
+                                best = cand;
+                                best_count = pred_count + 1;
+                                best_mram = if i == 0 { mram[pred] + 1 } else { mram[pred] };
+                            }
+                        }
+                    }
+                    energy[cell] = best;
+                    count[cell] = best_count;
+                    mram[cell] = best_mram;
+                }
+            }
+            prev_energy.copy_from_slice(&energy);
+            prev_mram.copy_from_slice(&mram);
+        }
+        let row = buckets * (k_max + 1);
+        ClusterDp {
+            energy: energy[row..].to_vec(),
+            mram: mram[row..].to_vec(),
+        }
+    }
+
+    /// Compares the chain kernel against [`table_dp`] bit for bit.
+    fn assert_chain_matches_table(
+        k_max: usize,
+        buckets: usize,
+        t_bucketed: [usize; 2],
+        e_pj: [f64; 2],
+        caps: [usize; 2],
+    ) {
+        let chain = ClusterDp::build(k_max, buckets, t_bucketed, e_pj, caps);
+        let table = table_dp(k_max, buckets, t_bucketed, e_pj, caps);
+        let bits = |dp: &ClusterDp| dp.energy.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+        let inputs = format!(
+            "k_max {k_max}, buckets {buckets}, t {t_bucketed:?}, e {e_pj:?}, caps {caps:?}"
+        );
+        assert_eq!(bits(&chain), bits(&table), "energy row: {inputs}");
+        assert_eq!(chain.mram, table.mram, "mram row: {inputs}");
+    }
+
     #[test]
-    fn warm_start_build_is_bit_identical_to_cold_build() {
-        // The warm start may only skip provably suboptimal work; every
-        // entry must come out identical to the cold reference, across
-        // dual- and single-cluster architectures and slice budgets
-        // spanning relaxed to infeasible entries.
-        for arch in Architecture::ALL {
+    fn chain_kernel_matches_table_oracle_on_edge_cases() {
+        // Heterogeneous-PIM: no MRAM.
+        assert_chain_matches_table(20, 40, [3, 2], [0.3, 1.1], [0, 64]);
+        // No SRAM.
+        assert_chain_matches_table(20, 40, [2, 1], [0.3, 1.1], [64, 0]);
+        // SRAM slower than the whole budget.
+        assert_chain_matches_table(20, 40, [3, 41], [0.3, 1.1], [64, 64]);
+        // Equal times, then equal energies (ties keep the skip branch).
+        assert_chain_matches_table(25, 50, [2, 2], [0.7, 0.4], [9, 64]);
+        assert_chain_matches_table(25, 50, [4, 1], [0.1, 0.1], [9, 64]);
+        // k_max = 0.
+        assert_chain_matches_table(0, 30, [3, 1], [0.3, 1.1], [5, 5]);
+        // Capacities binding on both spaces; 0.1 sums are inexact.
+        assert_chain_matches_table(30, 60, [3, 1], [0.1, 0.2], [4, 7]);
+        // Single bucket.
+        assert_chain_matches_table(5, 1, [1, 1], [0.5, 0.25], [3, 3]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The chain kernel's row equals the table DP's `t = buckets`
+        /// row, over random instances biased toward the boundaries:
+        /// empty spaces, slow spaces, equal times and energy ties.
+        #[test]
+        fn chain_kernel_matches_table_oracle(
+            k_max in prop_oneof![Just(0usize), 0usize..12, 0usize..80],
+            buckets in prop_oneof![1usize..16, 1usize..160],
+            t_bucketed in (1usize..24, prop_oneof![1usize..6, 1usize..200]),
+            e_pj in (prop_oneof![Just(0.1), 0.0f64..3.0], prop_oneof![Just(0.1), 0.0f64..3.0]),
+            caps in (prop_oneof![Just(0usize), 0usize..10, 0usize..200],
+                     prop_oneof![Just(0usize), 0usize..10, 0usize..200]),
+            same_t in any::<bool>(),
+        ) {
+            let t_s = if same_t { t_bucketed.0 } else { t_bucketed.1 };
+            assert_chain_matches_table(
+                k_max,
+                buckets,
+                [t_bucketed.0, t_s],
+                [e_pj.0, e_pj.1],
+                [caps.0, caps.1],
+            );
+        }
+
+        /// Whole LUTs built through the chain kernel equal LUTs built
+        /// through the table oracle, for every architecture and model,
+        /// across resolutions, group sizes and objectives.
+        #[test]
+        fn lut_matches_table_oracle_lut(
+            arch in proptest::sample::select(Architecture::ALL.to_vec()),
+            model in proptest::sample::select(TinyMlModel::ALL.to_vec()),
+            time_buckets in proptest::sample::select(vec![8usize, 37, 97, 160]),
+            group_size in proptest::sample::select(vec![256usize, 512, 1024, 2048]),
+            amortize_static in any::<bool>(),
+            slice_factor in 2u64..12,
+        ) {
             let cost = CostModel::new(
                 arch.spec(),
-                WorkloadProfile::from_spec(&TinyMlModel::MobileNetV2.spec()),
-                CostParams::default(),
+                WorkloadProfile::from_spec(&model.spec()),
+                CostParams { group_size, ..CostParams::default() },
             )
             .unwrap();
             let opt = PlacementOptimizer::new(
                 &cost,
-                OptimizerConfig {
-                    time_buckets: 400,
-                    ..OptimizerConfig::default()
-                },
+                OptimizerConfig { time_buckets, amortize_static, ..OptimizerConfig::default() },
             );
-            for slice_factor in [3u64, 6, 11] {
-                let usable = cost.peak_task_time() * slice_factor;
-                let cold = AllocationLut::build_with(&opt, usable, 10, false);
-                let warm = AllocationLut::build_with(&opt, usable, 10, true);
-                assert_eq!(cold, warm, "{arch} ×{slice_factor}");
-            }
-        }
-    }
-
-    #[test]
-    fn seeded_optimize_matches_unseeded_for_arbitrary_seeds() {
-        // Any seed — optimal, suboptimal, or infeasible — must leave
-        // the answer untouched.
-        let cost = effnet_cost();
-        let opt = PlacementOptimizer::new(&cost, OptimizerConfig::default());
-        let peak = cost.peak_task_time();
-        let seeds = [
-            cost.fastest_placement(),
-            opt.relaxed_optimal(peak),
-            Placement::all_in(StorageSpace::LpMram, cost.k_groups()),
-            Placement::all_in(StorageSpace::HpSram, cost.k_groups() * 2), // invalid
-        ];
-        for factor in [0.9, 1.0, 1.3, 2.0, 5.0] {
-            let t = peak.mul_f64(factor);
-            let cold = opt.optimize(t);
-            for seed in &seeds {
-                assert_eq!(cold, opt.optimize_seeded(t, Some(seed)), "×{factor}");
-            }
+            let usable = cost.peak_task_time() * slice_factor;
+            let lut = AllocationLut::build(&opt, usable, 10);
+            let oracle = AllocationLut::from_parts(
+                lut.t_constraints().iter().map(|&t| opt.optimize_with(t, table_dp)).collect(),
+                lut.t_constraints().to_vec(),
+            );
+            prop_assert_eq!(lut, oracle);
         }
     }
 
