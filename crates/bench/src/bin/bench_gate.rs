@@ -203,6 +203,29 @@ fn measure(samples: usize) -> GateFile {
         }),
     );
 
+    // cycle_replay_hot: steady-state timing-graph replay on an open
+    // HH-PIM MobileNetV2 cycle stream — `step_n` batches alternating
+    // between a full and a single-task queue, so every batch boundary
+    // re-places the weights (migration traffic included) and the
+    // replayed tasks run on both placements' cached programs. This is
+    // the per-slice cost of the cycle backend's serving path.
+    let mut replay_cycle =
+        CycleBackend::new(Architecture::HhPim, TinyMlModel::MobileNetV2).unwrap();
+    replay_cycle.begin_stream().unwrap();
+    let full = replay_cycle.runtime_config().max_tasks;
+    let mut replay_out = Vec::new();
+    file.benches.insert(
+        "cycle_replay_hot".into(),
+        bench(samples, || {
+            replay_out.clear();
+            for n_tasks in [full, 1, full, 1] {
+                replay_cycle.step_n(n_tasks, 24, &mut replay_out).unwrap();
+            }
+            assert!(replay_out.iter().any(|o| o.replacement.is_some()));
+            replay_out.len()
+        }),
+    );
+
     // session_build_and_run: the facade's hot path — builder →
     // prepared policy (LUT DP solves) → analytic backend → one
     // 12-slice run, end to end.
@@ -1010,7 +1033,7 @@ mod tests {
     fn measure_produces_complete_file() {
         let f = measure(1);
         assert!(f.calibration_ns > 0.0);
-        assert_eq!(f.benches.len(), 21);
+        assert_eq!(f.benches.len(), 22);
         for key in [
             "session_build_and_run",
             "lut_build_cold",
@@ -1029,6 +1052,7 @@ mod tests {
             "timegraph_build",
             "cycle_trace_6_slices",
             "cycle_trace_6_slices_object",
+            "cycle_replay_hot",
         ] {
             assert!(f.benches.contains_key(key), "missing bench `{key}`");
         }

@@ -1010,7 +1010,7 @@ impl CycleBackend {
     ) -> Result<MigrationRecord, BackendError> {
         let from = self.placement;
         let start = self.machine.now();
-        let before = self.machine.report();
+        let before = self.machine.probe();
         let group = self.processor.cost().params().group_size;
         let mut groups = 0usize;
         for leg in movement_legs(&from, &target) {
@@ -1018,13 +1018,19 @@ impl CycleBackend {
             self.transfer_leg(leg, leg.groups * group)?;
         }
         self.machine.execute(PimInstruction::Barrier)?;
-        let after = self.machine.report();
+        let after = self.machine.probe();
+        // Walk the dynamic memory categories in ledger key order (HP
+        // before LP, SRAM before MRAM), as a report diff would.
         let mut moved_energy = Energy::ZERO;
-        for (&cat, e) in after.energy.iter() {
-            if let hhpim_pim::EnergyCat::MemDynamic(..) = cat {
-                let delta = e.saturating_sub(before.energy.get(cat));
+        for class in ClusterClass::ALL {
+            for kind in [MemKind::Sram, MemKind::Mram] {
+                let Some(e) = after.mem_dynamic(class, kind) else {
+                    continue;
+                };
+                let delta =
+                    e.saturating_sub(before.mem_dynamic(class, kind).unwrap_or(Energy::ZERO));
                 if delta.as_pj() > 0.0 {
-                    migration_dyn.add(cat, delta);
+                    migration_dyn.add(hhpim_pim::EnergyCat::MemDynamic(class, kind), delta);
                     moved_energy += delta;
                 }
             }
@@ -1085,15 +1091,8 @@ impl CycleBackend {
                         .move_intra(at, src_mem, 0, chunk)
                         .map_err(|e| Self::module_err(src_g, e))?;
                 } else {
-                    let (done, data) = self
-                        .machine
-                        .module_mut(src_g)
-                        .read_words(at, src_mem, 0, chunk)
-                        .map_err(|e| Self::module_err(src_g, e))?;
                     self.machine
-                        .module_mut(dst_g)
-                        .write_words(done, dst_mem, 0, &data)
-                        .map_err(|e| Self::module_err(dst_g, e))?;
+                        .copy_words(src_g, src_mem, dst_g, dst_mem, 0, chunk)?;
                 }
                 remaining -= chunk;
             }
@@ -1244,7 +1243,7 @@ impl CycleBackend {
         let n = n_tasks.max(1) as u64;
         let t_constraint = usable / n;
         let task_time = busy.mul_f64(scale) / n;
-        let total = self.machine.report().total_energy();
+        let total = self.machine.probe().total;
         run.records.push(SliceRecord {
             slice,
             n_tasks,

@@ -143,6 +143,8 @@ pub struct ResolvedAccess {
 pub struct MemoryBank {
     tech: MemoryTech,
     capacity: usize,
+    /// `tech.static_power_for(capacity)`, fixed at construction.
+    static_power: Power,
     live_bytes: usize,
     port: BusyResource,
     state: GateState,
@@ -165,6 +167,7 @@ impl MemoryBank {
     pub fn new(tech: MemoryTech, capacity: usize) -> Self {
         assert!(capacity > 0, "bank capacity must be non-zero");
         MemoryBank {
+            static_power: tech.static_power_for(capacity),
             tech,
             capacity,
             live_bytes: 0,
@@ -215,22 +218,25 @@ impl MemoryBank {
     /// Leakage power at the current state (zero when gated).
     pub fn static_power(&self) -> Power {
         match self.state {
-            GateState::On => self.tech.static_power_for(self.capacity),
+            GateState::On => self.static_power,
             GateState::Gated => Power::ZERO,
         }
     }
 
     /// Accrued static energy up to the last [`Self::advance_to`] call.
+    #[inline]
     pub fn static_energy(&self) -> Energy {
         self.static_energy
     }
 
     /// Accumulated dynamic access energy.
+    #[inline]
     pub fn dynamic_energy(&self) -> Energy {
         self.dynamic_energy
     }
 
     /// Accumulated wake-up energy.
+    #[inline]
     pub fn wake_energy(&self) -> Energy {
         self.wake_energy_total
     }
@@ -249,13 +255,14 @@ impl MemoryBank {
     ///
     /// Must be called with monotonically non-decreasing times; earlier
     /// times are ignored.
+    #[inline]
     pub fn advance_to(&mut self, now: SimTime) {
         if now <= self.last_accrual {
             return;
         }
         if self.state == GateState::On {
             let dt = now.saturating_since(self.last_accrual);
-            self.static_energy += self.tech.static_power_for(self.capacity) * dt;
+            self.static_energy += self.static_power * dt;
         }
         self.last_accrual = now;
     }
@@ -331,6 +338,7 @@ impl MemoryBank {
     /// # Errors
     ///
     /// Returns [`BankError::Gated`] if the bank is gated.
+    #[inline]
     pub fn access_resolved(
         &mut self,
         at: SimTime,

@@ -56,6 +56,7 @@ impl Energy {
     }
 
     /// Returns the energy in picojoules.
+    #[inline]
     pub fn as_pj(self) -> f64 {
         self.0
     }
@@ -81,6 +82,7 @@ impl Energy {
     }
 
     /// Saturating subtraction (clamps at zero).
+    #[inline]
     pub fn saturating_sub(self, rhs: Energy) -> Energy {
         Energy((self.0 - rhs.0).max(0.0))
     }
@@ -88,12 +90,14 @@ impl Energy {
 
 impl Add for Energy {
     type Output = Energy;
+    #[inline]
     fn add(self, rhs: Energy) -> Energy {
         Energy(self.0 + rhs.0)
     }
 }
 
 impl AddAssign for Energy {
+    #[inline]
     fn add_assign(&mut self, rhs: Energy) {
         self.0 += rhs.0;
     }
@@ -104,6 +108,7 @@ impl Sub for Energy {
     /// # Panics
     ///
     /// Panics (in debug builds) if the result would be negative.
+    #[inline]
     fn sub(self, rhs: Energy) -> Energy {
         debug_assert!(self.0 >= rhs.0, "energy subtraction went negative");
         Energy(self.0 - rhs.0)
@@ -112,6 +117,7 @@ impl Sub for Energy {
 
 impl Mul<f64> for Energy {
     type Output = Energy;
+    #[inline]
     fn mul(self, rhs: f64) -> Energy {
         Energy(self.0 * rhs)
     }
@@ -119,6 +125,7 @@ impl Mul<f64> for Energy {
 
 impl Mul<u64> for Energy {
     type Output = Energy;
+    #[inline]
     fn mul(self, rhs: u64) -> Energy {
         Energy(self.0 * rhs as f64)
     }
@@ -126,6 +133,7 @@ impl Mul<u64> for Energy {
 
 impl Div<f64> for Energy {
     type Output = Energy;
+    #[inline]
     fn div(self, rhs: f64) -> Energy {
         Energy(self.0 / rhs)
     }
@@ -134,6 +142,7 @@ impl Div<f64> for Energy {
 impl Div<Energy> for Energy {
     /// Dimensionless ratio of two energies.
     type Output = f64;
+    #[inline]
     fn div(self, rhs: Energy) -> f64 {
         self.0 / rhs.0
     }
@@ -200,6 +209,7 @@ impl Power {
     }
 
     /// Returns the power in milliwatts.
+    #[inline]
     pub fn as_mw(self) -> f64 {
         self.0
     }
@@ -212,12 +222,14 @@ impl Power {
 
 impl Add for Power {
     type Output = Power;
+    #[inline]
     fn add(self, rhs: Power) -> Power {
         Power(self.0 + rhs.0)
     }
 }
 
 impl AddAssign for Power {
+    #[inline]
     fn add_assign(&mut self, rhs: Power) {
         self.0 += rhs.0;
     }
@@ -225,6 +237,7 @@ impl AddAssign for Power {
 
 impl Mul<f64> for Power {
     type Output = Power;
+    #[inline]
     fn mul(self, rhs: f64) -> Power {
         Power(self.0 * rhs)
     }
@@ -233,6 +246,7 @@ impl Mul<f64> for Power {
 impl Mul<SimDuration> for Power {
     type Output = Energy;
     /// Energy = power × time (mW × ns = pJ).
+    #[inline]
     fn mul(self, rhs: SimDuration) -> Energy {
         Energy(self.0 * rhs.as_ns_f64())
     }

@@ -73,6 +73,8 @@ pub struct Cluster {
     modules: Vec<PimModule>,
     issue: BusyResource,
     cfg: ControllerConfig,
+    /// `cfg.clock.period()`, fixed at construction.
+    period: SimDuration,
     ctrl_dynamic: Energy,
     ctrl_static: Energy,
     last_accrual: SimTime,
@@ -96,6 +98,7 @@ impl Cluster {
             class,
             modules: (0..n).map(|_| PimModule::new(class, module_cfg)).collect(),
             issue: BusyResource::new(),
+            period: cfg.clock.period(),
             cfg,
             ctrl_dynamic: Energy::ZERO,
             ctrl_static: Energy::ZERO,
@@ -133,11 +136,18 @@ impl Cluster {
     /// # Panics
     ///
     /// Panics if `idx` is out of range.
+    #[inline]
     pub fn module_mut(&mut self, idx: usize) -> &mut PimModule {
         &mut self.modules[idx]
     }
 
+    /// The cluster's modules as a mutable slice (for split borrows).
+    pub(crate) fn modules_mut(&mut self) -> &mut [PimModule] {
+        &mut self.modules
+    }
+
     /// Iterates the cluster's modules.
+    #[inline]
     pub fn modules(&self) -> impl Iterator<Item = &PimModule> {
         self.modules.iter()
     }
@@ -148,11 +158,13 @@ impl Cluster {
     }
 
     /// Controller dynamic energy so far.
+    #[inline]
     pub fn controller_dynamic_energy(&self) -> Energy {
         self.ctrl_dynamic
     }
 
     /// Controller static energy accrued so far.
+    #[inline]
     pub fn controller_static_energy(&self) -> Energy {
         self.ctrl_static
     }
@@ -174,6 +186,7 @@ impl Cluster {
     }
 
     /// Advances static accrual of controller and modules to `now`.
+    #[inline]
     pub fn advance_to(&mut self, now: SimTime) {
         if now > self.last_accrual {
             let dt = now.saturating_since(self.last_accrual);
@@ -187,10 +200,11 @@ impl Cluster {
 
     /// Charges controller issue overhead for an instruction targeting
     /// `selected` modules; returns the instant dispatch completes.
+    #[inline]
     pub fn issue(&mut self, at: SimTime, selected: usize) -> SimTime {
         let cycles =
             self.cfg.fetch_decode_cycles + self.cfg.dispatch_cycles_per_module * selected as u64;
-        let dur = self.cfg.clock.cycles_to_duration(cycles);
+        let dur = self.period * cycles;
         self.ctrl_dynamic += self.cfg.dynamic_per_inst;
         self.instructions_issued += 1;
         self.issue.acquire(at, dur)

@@ -130,6 +130,19 @@ pub struct MachineProbe {
     pub total: Energy,
     /// MAC operations retired across all PEs.
     pub macs: u64,
+    /// Dynamic memory energy indexed `[class as usize][kind as usize]`;
+    /// `None` where `report()` records no such category.
+    mem_dynamic: [[Option<Energy>; 2]; 2],
+}
+
+impl MachineProbe {
+    /// Dynamic access energy of one memory technology in one cluster,
+    /// bit-identical to `report().energy.get(EnergyCat::MemDynamic(class,
+    /// kind))`; `None` exactly when the report's ledger lacks that
+    /// category (no such cluster, or an SRAM-only cluster's MRAM).
+    pub fn mem_dynamic(&self, class: ClusterClass, kind: MemKind) -> Option<Energy> {
+        self.mem_dynamic[class as usize][kind as usize]
+    }
 }
 
 /// Outcome of [`PimMachine::run_program`].
@@ -233,6 +246,7 @@ impl PimMachine {
     }
 
     /// Current simulation time.
+    #[inline]
     pub fn now(&self) -> SimTime {
         self.now
     }
@@ -248,6 +262,7 @@ impl PimMachine {
     /// bank's gating state) the next time the machine reports. Times
     /// in the past are ignored, so callers may pass slice boundaries
     /// unconditionally even when work overran them.
+    #[inline]
     pub fn idle_until(&mut self, t: SimTime) {
         if t > self.now {
             self.now = t;
@@ -259,12 +274,14 @@ impl PimMachine {
     /// (through [`Cluster::issue`] and the resolved module primitives)
     /// and charges the machine-level counter through this hook, exactly
     /// as [`PimMachine::execute`]/[`PimMachine::mac_stream`] would.
+    #[inline]
     pub fn note_instruction(&mut self) {
         self.instructions += 1;
     }
 
     /// Shared access to a cluster, `None` when the machine has no
     /// modules of that class.
+    #[inline]
     pub fn cluster(&self, class: ClusterClass) -> Option<&Cluster> {
         match class {
             ClusterClass::HighPerformance => self.hp.as_ref(),
@@ -277,6 +294,7 @@ impl PimMachine {
     /// dispatch through this handle ([`Cluster::issue`] +
     /// [`Cluster::module_mut`]) instead of the interpretive
     /// mask-splitting path.
+    #[inline]
     pub fn cluster_mut(&mut self, class: ClusterClass) -> Option<&mut Cluster> {
         match class {
             ClusterClass::HighPerformance => self.hp.as_mut(),
@@ -318,6 +336,71 @@ impl PimMachine {
             ClusterClass::HighPerformance => self.hp.as_mut().expect("hp exists").module_mut(local),
             ClusterClass::LowPower => self.lp.as_mut().expect("lp exists").module_mut(local),
         }
+    }
+
+    /// Exclusive access to two distinct modules at once (a split
+    /// borrow across or within clusters).
+    ///
+    /// # Panics
+    ///
+    /// Panics if either index is out of range or `a == b`.
+    fn module_pair_mut(&mut self, a: usize, b: usize) -> (&mut PimModule, &mut PimModule) {
+        assert_ne!(a, b, "module pair must be distinct");
+        let hp = self
+            .hp
+            .as_mut()
+            .map(Cluster::modules_mut)
+            .unwrap_or_default();
+        let lp = self
+            .lp
+            .as_mut()
+            .map(Cluster::modules_mut)
+            .unwrap_or_default();
+        // Global indices run over the HP modules, then the LP modules.
+        let mut modules = hp.iter_mut().chain(lp.iter_mut());
+        let (lo, hi) = (a.min(b), a.max(b));
+        let first = modules.nth(lo).expect("module index out of range");
+        let second = modules.nth(hi - lo - 1).expect("module index out of range");
+        if a < b {
+            (first, second)
+        } else {
+            (second, first)
+        }
+    }
+
+    /// Copies `count` bytes at `addr` from module `src`'s `src_mem`
+    /// bank into module `dst`'s `dst_mem` bank, dispatched at the
+    /// current time: exactly [`PimModule::read_words`] on the source
+    /// followed by [`PimModule::write_words`] at the read's completion
+    /// (same burst timing, energy, occupancy and bytes), without
+    /// staging the payload in a heap buffer. Returns the write's
+    /// completion instant.
+    ///
+    /// # Errors
+    ///
+    /// Module errors carry the global index of the module that raised
+    /// them (the source for the read burst, the destination for the
+    /// write burst).
+    ///
+    /// # Panics
+    ///
+    /// Panics if either index is out of range or `src == dst`.
+    pub fn copy_words(
+        &mut self,
+        src: usize,
+        src_mem: MemSelect,
+        dst: usize,
+        dst_mem: MemSelect,
+        addr: usize,
+        count: usize,
+    ) -> Result<SimTime, MachineError> {
+        let at = self.now;
+        let (from, to) = self.module_pair_mut(src, dst);
+        let (read_done, bytes) = from
+            .read_burst(at, src_mem, addr, count)
+            .map_err(|error| MachineError::Module { module: src, error })?;
+        to.write_words(read_done, dst_mem, addr, bytes)
+            .map_err(|error| MachineError::Module { module: dst, error })
     }
 
     /// Host-side preload of weights into a module bank.
@@ -678,8 +761,8 @@ impl PimMachine {
         if let Some(c) = self.lp.as_mut() {
             c.advance_to(now);
         }
-        // Accumulators indexed [class][kind]: class 0 = HP, 1 = LP and
-        // kind 0 = SRAM, 1 = MRAM, matching the ledger's derived key
+        // Accumulators indexed [class as usize][kind as usize]: the
+        // declaration order, which is also the ledger's derived key
         // order (HP < LP, SRAM < MRAM).
         let mut mem_dyn = [[Energy::ZERO; 2]; 2];
         let mut mem_stat = [[Energy::ZERO; 2]; 2];
@@ -691,10 +774,7 @@ impl PimMachine {
         let mut mram = [false; 2];
         let mut macs = 0u64;
         for cluster in [self.hp.as_ref(), self.lp.as_ref()].into_iter().flatten() {
-            let ci = match cluster.class() {
-                ClusterClass::HighPerformance => 0,
-                ClusterClass::LowPower => 1,
-            };
+            let ci = cluster.class() as usize;
             present[ci] = true;
             for m in cluster.modules() {
                 if m.has_mram() {
@@ -734,7 +814,20 @@ impl PimMachine {
                 }
             }
         }
-        MachineProbe { total, macs }
+        let mut mem_dynamic = [[None; 2]; 2];
+        for ci in 0..2 {
+            if present[ci] {
+                mem_dynamic[ci][0] = Some(mem_dyn[ci][0]);
+                if mram[ci] {
+                    mem_dynamic[ci][1] = Some(mem_dyn[ci][1]);
+                }
+            }
+        }
+        MachineProbe {
+            total,
+            macs,
+            mem_dynamic,
+        }
     }
 }
 
@@ -954,6 +1047,39 @@ mod tests {
         );
     }
 
+    /// `probe()` must agree with `report()` bit for bit: the total, the
+    /// MAC count and every per-`[class][kind]` dynamic memory energy,
+    /// each present exactly when the ledger records its category.
+    fn assert_probe_matches_report(m: &mut PimMachine, when: &str) {
+        let p = m.probe();
+        let r = m.report();
+        let cfg = *m.config();
+        assert_eq!(
+            p.total.as_pj().to_bits(),
+            r.total_energy().as_pj().to_bits(),
+            "probe must reproduce the ledger fold bit for bit ({when}, {cfg:?})"
+        );
+        assert_eq!(p.macs, r.macs);
+        for class in ClusterClass::ALL {
+            for kind in [MemKind::Sram, MemKind::Mram] {
+                let cat = EnergyCat::MemDynamic(class, kind);
+                let probed = p.mem_dynamic(class, kind);
+                assert_eq!(
+                    probed.is_some(),
+                    r.energy.slot_of(&cat).is_some(),
+                    "{cat:?} present in only one of probe/ledger ({when}, {cfg:?})"
+                );
+                if let Some(e) = probed {
+                    assert_eq!(
+                        e.as_pj().to_bits(),
+                        r.energy.get(cat).as_pj().to_bits(),
+                        "{cat:?} diverged ({when}, {cfg:?})"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn probe_total_is_bit_identical_to_report_total() {
         let shapes = [
@@ -982,18 +1108,141 @@ mod tests {
                 .unwrap();
             m.execute(PimInstruction::Barrier).unwrap();
             m.idle_until(m.now() + hhpim_sim::SimDuration::from_ns(12_345));
-            let p = m.probe();
-            let r = m.report();
-            assert_eq!(
-                p.total.as_pj(),
-                r.total_energy().as_pj(),
-                "probe must reproduce the ledger fold bit for bit ({cfg:?})"
-            );
-            assert_eq!(p.macs, r.macs);
+            assert_probe_matches_report(&mut m, "after a stream");
             // Probing performs the same accrual side effects as
             // reporting: a second pair still agrees.
-            assert_eq!(m.probe().total.as_pj(), m.report().total_energy().as_pj());
+            assert_probe_matches_report(&mut m, "on a repeated probe");
+
+            // Gate → wake: wake charges and gated (non-accruing) spans.
+            let last = m.module_count() - 1;
+            let mask = ModuleMask::single(last as u8);
+            let mut mems = vec![MemSelect::Sram];
+            if cfg.module.mram_bytes > 0 {
+                mems.push(MemSelect::Mram);
+            }
+            for &mem in &mems {
+                m.execute(PimInstruction::GateOff { modules: mask, mem })
+                    .unwrap();
+            }
+            m.idle_until(m.now() + hhpim_sim::SimDuration::from_ns(5_000));
+            for &mem in &mems {
+                m.execute(PimInstruction::GateOn { modules: mask, mem })
+                    .unwrap();
+            }
+            m.execute(PimInstruction::Barrier).unwrap();
+            assert_probe_matches_report(&mut m, "after a gate/wake cycle");
+
+            // A move: across clusters where the shape has both, else
+            // between two modules of the one cluster.
+            m.preload(0, MemSelect::Sram, 0, &[7u8; 64]).unwrap();
+            if cfg.lp_modules > 0 {
+                m.execute(PimInstruction::MoveInter {
+                    modules: ModuleMask::single(0),
+                    mem: MemSelect::Sram,
+                    addr: 0,
+                    count: 64,
+                })
+                .unwrap();
+            }
+            m.copy_words(0, MemSelect::Sram, last, MemSelect::Sram, 0, 64)
+                .unwrap();
+            m.execute(PimInstruction::Barrier).unwrap();
+            assert_probe_matches_report(&mut m, "after a module-to-module move");
         }
+    }
+
+    /// Two machines with identical preloaded contents, for comparing a
+    /// copy path against its reference.
+    fn twin_machines(cfg: MachineConfig) -> (PimMachine, PimMachine) {
+        let mut m = PimMachine::new(cfg);
+        let payload: Vec<u8> = (0..3000).map(|i| (i * 7 + 3) as u8).collect();
+        for g in 0..m.module_count() {
+            m.preload(g, MemSelect::Sram, 0, &payload).unwrap();
+            if cfg.module.mram_bytes > 0 {
+                m.preload(g, MemSelect::Mram, 0, &payload[..2000]).unwrap();
+            }
+        }
+        (m.clone(), m)
+    }
+
+    #[test]
+    fn copy_words_matches_read_then_write() {
+        // (src, dst) pairs: HP → LP, LP → HP and within one cluster.
+        let legs = [
+            (1, 6, MemSelect::Mram, MemSelect::Sram),
+            (5, 2, MemSelect::Sram, MemSelect::Mram),
+            (0, 3, MemSelect::Sram, MemSelect::Sram),
+        ];
+        for (src, dst, src_mem, dst_mem) in legs {
+            let (mut a, mut b) = twin_machines(MachineConfig::default());
+            // Stagger the modules' completion times so the read/write
+            // bursts queue behind earlier work.
+            for m in [&mut a, &mut b] {
+                m.mac_stream(ModuleMask::single(dst as u8), MemSelect::Sram, 0, 300)
+                    .unwrap();
+                m.idle_until(SimTime::from_ns(40));
+            }
+            let mut done = SimTime::ZERO;
+            for count in [1500, 1500, 17] {
+                let at = a.now();
+                let (read_done, bytes) =
+                    a.module_mut(src).read_words(at, src_mem, 0, count).unwrap();
+                let expected = a
+                    .module_mut(dst)
+                    .write_words(read_done, dst_mem, 0, &bytes)
+                    .unwrap();
+                done = b.copy_words(src, src_mem, dst, dst_mem, 0, count).unwrap();
+                assert_eq!(done, expected);
+            }
+            for g in [src, dst] {
+                let (ma, mb) = (a.module(g), b.module(g));
+                assert_eq!(ma.free_at(), mb.free_at());
+                for mem in [MemSelect::Sram, MemSelect::Mram] {
+                    let (ba, bb) = (ma.bank(mem), mb.bank(mem));
+                    assert_eq!(ba.live_bytes(), bb.live_bytes());
+                    assert_eq!(ba.counters(), bb.counters());
+                    assert_eq!(
+                        ba.dynamic_energy().as_pj().to_bits(),
+                        bb.dynamic_energy().as_pj().to_bits()
+                    );
+                    let cap = ba.capacity();
+                    assert_eq!(
+                        ma.read_back(mem, 0, cap).unwrap(),
+                        mb.read_back(mem, 0, cap).unwrap()
+                    );
+                }
+            }
+            a.idle_until(done);
+            b.idle_until(done);
+            assert_eq!(
+                a.report().total_energy().as_pj().to_bits(),
+                b.report().total_energy().as_pj().to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn copy_words_errors_carry_the_failing_side() {
+        let (mut m, _) = twin_machines(MachineConfig::default());
+        // Read side out of range: the source's global index.
+        let err = m
+            .copy_words(1, MemSelect::Mram, 6, MemSelect::Sram, 64 * 1024, 1)
+            .unwrap_err();
+        assert!(
+            matches!(err, MachineError::Module { module: 1, .. }),
+            "{err:?}"
+        );
+        // Write side gated: the destination's global index.
+        m.module_mut(6)
+            .set_gated(SimTime::ZERO, MemSelect::Mram, true)
+            .unwrap();
+        let err = m
+            .copy_words(1, MemSelect::Sram, 6, MemSelect::Mram, 0, 16)
+            .unwrap_err();
+        assert!(
+            matches!(err, MachineError::Module { module: 6, .. }),
+            "{err:?}"
+        );
     }
 
     #[test]

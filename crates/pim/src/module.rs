@@ -18,7 +18,7 @@ use hhpim_mem::{
     pe_for, tech_for, AccessKind, BankError, ClusterClass, Energy, MemKind, MemoryBank,
     ResolvedAccess,
 };
-use hhpim_sim::{SimTime, Summary};
+use hhpim_sim::SimTime;
 use std::fmt;
 
 /// Errors raised by module operations.
@@ -93,7 +93,6 @@ pub struct PimModule {
     act_ptr: usize,
     act_base: usize,
     free_at: SimTime,
-    mac_burst_latency: Summary,
 }
 
 impl PimModule {
@@ -121,7 +120,6 @@ impl PimModule {
             act_ptr: config.act_base,
             act_base: config.act_base,
             free_at: SimTime::ZERO,
-            mac_burst_latency: Summary::new(),
         }
     }
 
@@ -131,11 +129,13 @@ impl PimModule {
     }
 
     /// Whether the module has an MRAM bank.
+    #[inline]
     pub fn has_mram(&self) -> bool {
         self.mram.is_some()
     }
 
     /// The module's PE.
+    #[inline]
     pub fn pe(&self) -> &ProcessingElement {
         &self.pe
     }
@@ -145,6 +145,7 @@ impl PimModule {
     /// # Panics
     ///
     /// Panics when selecting MRAM on an SRAM-only module.
+    #[inline]
     pub fn bank(&self, mem: MemSelect) -> &MemoryBank {
         match mem {
             MemSelect::Mram => self.mram.as_ref().expect("module has no MRAM bank"),
@@ -152,6 +153,7 @@ impl PimModule {
         }
     }
 
+    #[inline]
     fn bank_mut(&mut self, mem: MemSelect) -> Result<&mut MemoryBank, ModuleError> {
         match mem {
             MemSelect::Mram => self.mram.as_mut().ok_or(ModuleError::AddrOutOfRange {
@@ -163,16 +165,13 @@ impl PimModule {
     }
 
     /// Instant at which the module completes all issued work.
+    #[inline]
     pub fn free_at(&self) -> SimTime {
         self.free_at
     }
 
-    /// Distribution of MAC-burst latencies (ns), for reports.
-    pub fn mac_burst_latency(&self) -> &Summary {
-        &self.mac_burst_latency
-    }
-
     /// Advances static-energy accrual of all powered components to `now`.
+    #[inline]
     pub fn advance_to(&mut self, now: SimTime) {
         if let Some(m) = self.mram.as_mut() {
             m.advance_to(now);
@@ -191,6 +190,7 @@ impl PimModule {
         mram + self.sram.total_energy() + self.pe.dynamic_energy() + self.pe.static_energy()
     }
 
+    #[inline]
     fn check_range(&self, mem: MemSelect, addr: usize, len: usize) -> Result<(), ModuleError> {
         let capacity = match mem {
             MemSelect::Mram => self.mram_data.len(),
@@ -205,6 +205,7 @@ impl PimModule {
         Ok(())
     }
 
+    #[inline]
     fn data(&self, mem: MemSelect) -> &[u8] {
         match mem {
             MemSelect::Mram => &self.mram_data,
@@ -253,6 +254,7 @@ impl PimModule {
 
     /// Clears the PE accumulator and rewinds the activation pointer to
     /// the activation base (zero-latency architectural operation).
+    #[inline]
     pub fn clear_acc(&mut self) {
         self.pe.clear();
         self.act_ptr = self.act_base;
@@ -301,8 +303,6 @@ impl PimModule {
         let done = self.pe.mac_burst(operands_ready, &pairs);
         self.act_ptr += count;
         self.free_at = done;
-        self.mac_burst_latency
-            .add(done.saturating_since(at).as_ns_f64());
         Ok(done)
     }
 
@@ -340,8 +340,6 @@ impl PimModule {
         let operands_ready = w_done.max(a_done);
         let done = self.pe.mac_stream(operands_ready, count as u64);
         self.free_at = done;
-        self.mac_burst_latency
-            .add(done.saturating_since(at).as_ns_f64());
         Ok(done)
     }
 
@@ -357,6 +355,7 @@ impl PimModule {
     ///
     /// Propagates bank errors (gated banks) and range errors, exactly
     /// as [`Self::mac`] does.
+    #[inline]
     pub fn mac_resolved(
         &mut self,
         at: SimTime,
@@ -391,8 +390,6 @@ impl PimModule {
             .mac_burst_prefolded(operands_ready, delta, count as u64);
         self.act_ptr += count;
         self.free_at = done;
-        self.mac_burst_latency
-            .add(done.saturating_since(at).as_ns_f64());
         Ok(done)
     }
 
@@ -403,6 +400,7 @@ impl PimModule {
     /// # Errors
     ///
     /// Propagates bank errors (gated banks) and range errors on `addr`.
+    #[inline]
     pub fn mac_stream_resolved(
         &mut self,
         at: SimTime,
@@ -422,8 +420,6 @@ impl PimModule {
         let operands_ready = w_done.max(a_done);
         let done = self.pe.mac_stream(operands_ready, count as u64);
         self.free_at = done;
-        self.mac_burst_latency
-            .add(done.saturating_since(at).as_ns_f64());
         Ok(done)
     }
 
@@ -480,8 +476,11 @@ impl PimModule {
             .bank_mut(to)?
             .access(read_done, AccessKind::Write, count as u64)?
             .done_at;
-        let bytes: Vec<u8> = self.data(from)[addr..addr + count].to_vec();
-        self.data_mut(to)[addr..addr + count].copy_from_slice(&bytes);
+        let (src, dst) = match from {
+            MemSelect::Mram => (&self.mram_data, &mut self.sram_data),
+            MemSelect::Sram => (&self.sram_data, &mut self.mram_data),
+        };
+        dst[addr..addr + count].copy_from_slice(&src[addr..addr + count]);
         // Occupancy: data now live in both banks until explicitly freed.
         let to_bank = self.bank_mut(to)?;
         let free = to_bank.free_bytes();
@@ -503,15 +502,32 @@ impl PimModule {
         addr: usize,
         count: usize,
     ) -> Result<(SimTime, Vec<u8>), ModuleError> {
+        let (done, bytes) = self.read_burst(at, mem, addr, count)?;
+        Ok((done, bytes.to_vec()))
+    }
+
+    /// [`Self::read_words`] without the copy: identical timing, energy
+    /// and occupancy, returning the bytes as a view into bank storage
+    /// (module-to-module migration copies straight out of it).
+    ///
+    /// # Errors
+    ///
+    /// Propagates bank and range errors.
+    pub(crate) fn read_burst(
+        &mut self,
+        at: SimTime,
+        mem: MemSelect,
+        addr: usize,
+        count: usize,
+    ) -> Result<(SimTime, &[u8]), ModuleError> {
         let at = at.max(self.free_at);
         self.check_range(mem, addr, count)?;
         let done = self
             .bank_mut(mem)?
             .access(at, AccessKind::Read, count as u64)?
             .done_at;
-        let bytes = self.data(mem)[addr..addr + count].to_vec();
         self.free_at = done;
-        Ok((done, bytes))
+        Ok((done, &self.data(mem)[addr..addr + count]))
     }
 
     /// Timed write of bytes (inter-cluster arrivals and external loads).

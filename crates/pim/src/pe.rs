@@ -26,6 +26,8 @@ use hhpim_sim::{BusyResource, SimTime};
 #[derive(Debug, Clone)]
 pub struct ProcessingElement {
     tech: PeTech,
+    /// `tech.mac_energy()`, fixed at construction.
+    mac_energy: Energy,
     acc: i32,
     unit: BusyResource,
     macs: u64,
@@ -39,6 +41,7 @@ impl ProcessingElement {
     /// Creates a powered-on PE with a cleared accumulator.
     pub fn new(tech: PeTech) -> Self {
         ProcessingElement {
+            mac_energy: tech.mac_energy(),
             tech,
             acc: 0,
             unit: BusyResource::new(),
@@ -61,16 +64,19 @@ impl ProcessingElement {
     }
 
     /// Number of MAC operations retired.
+    #[inline]
     pub fn macs_retired(&self) -> u64 {
         self.macs
     }
 
     /// Dynamic energy consumed by MACs so far.
+    #[inline]
     pub fn dynamic_energy(&self) -> Energy {
         self.dynamic_energy
     }
 
     /// Static energy accrued up to the last [`Self::advance_to`].
+    #[inline]
     pub fn static_energy(&self) -> Energy {
         self.static_energy
     }
@@ -93,6 +99,7 @@ impl ProcessingElement {
 
     /// Advances leakage accrual to `now` (monotonic; earlier times are
     /// ignored).
+    #[inline]
     pub fn advance_to(&mut self, now: SimTime) {
         if now <= self.last_accrual {
             return;
@@ -135,7 +142,7 @@ impl ProcessingElement {
         }
         let n = operands.len() as u64;
         self.macs += n;
-        self.dynamic_energy += self.tech.mac_energy() * n;
+        self.dynamic_energy += self.mac_energy * n;
         self.unit.acquire(at, self.tech.mac_latency * n)
     }
 
@@ -151,12 +158,13 @@ impl ProcessingElement {
     /// # Panics
     ///
     /// Panics if the PE is powered off.
+    #[inline]
     pub fn mac_burst_prefolded(&mut self, at: SimTime, delta: i32, count: u64) -> SimTime {
         assert!(self.powered, "MAC issued to a powered-off PE");
         self.advance_to(at);
         self.acc = self.acc.wrapping_add(delta);
         self.macs += count;
-        self.dynamic_energy += self.tech.mac_energy() * count;
+        self.dynamic_energy += self.mac_energy * count;
         self.unit.acquire(at, self.tech.mac_latency * count)
     }
 
@@ -170,11 +178,12 @@ impl ProcessingElement {
     /// # Panics
     ///
     /// Panics if the PE is powered off.
+    #[inline]
     pub fn mac_stream(&mut self, at: SimTime, count: u64) -> SimTime {
         assert!(self.powered, "MAC issued to a powered-off PE");
         self.advance_to(at);
         self.macs += count;
-        self.dynamic_energy += self.tech.mac_energy() * count;
+        self.dynamic_energy += self.mac_energy * count;
         self.unit.acquire(at, self.tech.mac_latency * count)
     }
 }

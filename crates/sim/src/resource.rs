@@ -57,6 +57,7 @@ impl BusyResource {
     /// Serves a request arriving at `at` with the given `service` time;
     /// returns the completion instant. Requests queue FIFO: service starts
     /// at `max(at, free_at)`.
+    #[inline]
     pub fn acquire(&mut self, at: SimTime, service: SimDuration) -> SimTime {
         let start = self.free_at.max(at);
         let done = start + service;

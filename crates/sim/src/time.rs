@@ -57,6 +57,7 @@ impl SimTime {
     }
 
     /// Returns the instant as fractional nanoseconds.
+    #[inline]
     pub fn as_ns_f64(self) -> f64 {
         self.0 as f64 / 1e3
     }
@@ -68,6 +69,7 @@ impl SimTime {
 
     /// Duration elapsed since `earlier`, saturating to zero if `earlier`
     /// is in the future.
+    #[inline]
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
@@ -138,6 +140,7 @@ impl SimDuration {
     }
 
     /// Returns the duration as fractional nanoseconds.
+    #[inline]
     pub fn as_ns_f64(self) -> f64 {
         self.0 as f64 / 1e3
     }
@@ -153,6 +156,7 @@ impl SimDuration {
     }
 
     /// Saturating subtraction.
+    #[inline]
     pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))
     }
@@ -179,12 +183,14 @@ impl SimDuration {
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
         SimTime(self.0 + rhs.0)
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         self.0 += rhs.0;
     }
@@ -192,6 +198,7 @@ impl AddAssign<SimDuration> for SimTime {
 
 impl Sub<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimTime {
         SimTime(self.0 - rhs.0)
     }
@@ -199,6 +206,7 @@ impl Sub<SimDuration> for SimTime {
 
 impl Sub<SimTime> for SimTime {
     type Output = SimDuration;
+    #[inline]
     fn sub(self, rhs: SimTime) -> SimDuration {
         SimDuration(self.0 - rhs.0)
     }
@@ -206,12 +214,14 @@ impl Sub<SimTime> for SimTime {
 
 impl Add for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0 + rhs.0)
     }
 }
 
 impl AddAssign for SimDuration {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         self.0 += rhs.0;
     }
@@ -219,12 +229,14 @@ impl AddAssign for SimDuration {
 
 impl Sub for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0 - rhs.0)
     }
 }
 
 impl SubAssign for SimDuration {
+    #[inline]
     fn sub_assign(&mut self, rhs: SimDuration) {
         self.0 -= rhs.0;
     }
@@ -232,6 +244,7 @@ impl SubAssign for SimDuration {
 
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn mul(self, rhs: u64) -> SimDuration {
         SimDuration(self.0 * rhs)
     }
@@ -239,6 +252,7 @@ impl Mul<u64> for SimDuration {
 
 impl Div<u64> for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn div(self, rhs: u64) -> SimDuration {
         SimDuration(self.0 / rhs)
     }
@@ -247,6 +261,7 @@ impl Div<u64> for SimDuration {
 impl Div<SimDuration> for SimDuration {
     /// Integer ratio of two durations (floor division).
     type Output = u64;
+    #[inline]
     fn div(self, rhs: SimDuration) -> u64 {
         self.0 / rhs.0
     }

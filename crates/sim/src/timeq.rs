@@ -78,6 +78,7 @@ impl TimeQueue {
     /// # Panics
     ///
     /// Panics if `slot` is out of range.
+    #[inline]
     pub fn raise(&mut self, slot: usize, t: SimTime) {
         if t > self.slots[slot] {
             self.slots[slot] = t;
@@ -101,6 +102,7 @@ impl TimeQueue {
 
     /// The latest completion instant across all slots — the barrier
     /// resynchronization point. `O(1)`.
+    #[inline]
     pub fn max(&self) -> SimTime {
         self.max
     }
