@@ -2,8 +2,8 @@
 //!
 //! The repo models the paper's machine twice — analytically
 //! ([`crate::CostModel`] + [`crate::Processor`], fast enough for DP
-//! sweeps) and structurally ([`hhpim_pim::PimMachine`] driven by the
-//! `hhpim_sim` event kernel, bit-accurate but slower). Before this
+//! sweeps) and structurally ([`hhpim_pim::PimMachine`] replayed through
+//! a lowered [`crate::TimeGraph`], bit-accurate but slower). Before this
 //! module each path produced its own report type with its own energy
 //! vocabulary, so results could not be compared apples-to-apples.
 //!
@@ -18,7 +18,7 @@
 //! | backend              | wraps                              | fidelity |
 //! |----------------------|------------------------------------|----------|
 //! | [`AnalyticBackend`]  | `Processor` + `CostModel`          | closed-form slice accounting |
-//! | [`CycleBackend`]     | `PimMachine` + `sim::Simulation`   | per-access timing/energy of the full multi-layer program |
+//! | [`CycleBackend`]     | `PimMachine` + `TimeGraph`         | per-access timing/energy of the full multi-layer program |
 //!
 //! Energy breakdowns, per-slice records, per-layer records, migration
 //! ledgers and deadline misses all compare directly: both backends
@@ -571,7 +571,15 @@ pub struct CycleBackend {
     run: Option<CycleRun>,
     mode: ExecMode,
     graph: TimeGraph,
+    /// Test seam: run on the machine (with the given seed) right before
+    /// the next slice's tasks, to start them from unusual states.
+    #[cfg(test)]
+    before_tasks: Option<(Perturbation, u64)>,
 }
+
+/// A test's machine perturbation, parameterized by a seed.
+#[cfg(test)]
+type Perturbation = fn(&mut PimMachine, u64);
 
 /// How [`CycleBackend`] executes the per-task instruction stream.
 ///
@@ -756,6 +764,8 @@ impl CycleBackend {
             run: None,
             mode: ExecMode::default(),
             graph: TimeGraph::new(),
+            #[cfg(test)]
+            before_tasks: None,
         };
         backend.refresh_head()?;
         backend.enter_idle()?;
@@ -869,18 +879,27 @@ impl CycleBackend {
     }
 
     /// Global indices of the modules in clusters the placement keeps
-    /// busy (every machine has at least one occupied cluster).
-    fn active_modules(&self) -> Vec<usize> {
-        let mut modules = Vec::new();
-        for class in ClusterClass::ALL {
-            if self.placement.cluster_total(class) > 0 {
-                modules.extend(self.cluster_modules(class));
-            }
+    /// busy, or every module when it keeps none busy. Global indices
+    /// run over the HP cluster, then the LP cluster, so the busy
+    /// clusters' modules always form one range.
+    fn active_modules(&self) -> Range<usize> {
+        let busy = |class| self.placement.cluster_total(class) > 0;
+        let hp = self.cluster_modules(ClusterClass::HighPerformance);
+        let lp = self.cluster_modules(ClusterClass::LowPower);
+        let range = match (
+            busy(ClusterClass::HighPerformance),
+            busy(ClusterClass::LowPower),
+        ) {
+            (true, true) => hp.start..lp.end,
+            (true, false) => hp,
+            (false, true) => lp,
+            (false, false) => 0..0,
+        };
+        if range.is_empty() {
+            0..self.machine.module_count()
+        } else {
+            range
         }
-        if modules.is_empty() {
-            modules.extend(0..self.machine.module_count());
-        }
-        modules
     }
 
     /// The head follows the bulk of the weights: it stays in SRAM while
@@ -901,7 +920,9 @@ impl CycleBackend {
     /// whole network; the ~1 kB head rides along with the bulk
     /// migration whose traffic is metered separately).
     fn refresh_head(&mut self) -> Result<(), BackendError> {
-        self.head_modules = self.active_modules();
+        let active = self.active_modules();
+        self.head_modules.clear();
+        self.head_modules.extend(active);
         self.head_home = self
             .head_override
             .unwrap_or_else(|| self.head_home_for(&self.placement));
@@ -958,13 +979,13 @@ impl CycleBackend {
         }
         let now = self.machine.now();
         for class in ClusterClass::ALL {
-            let modules: Vec<usize> = self.cluster_modules(class).collect();
+            let modules = self.cluster_modules(class);
             if modules.is_empty() {
                 continue;
             }
             let sram_space = StorageSpace::of_cluster(class)[1];
             let weight_banks = self.placement.get(sram_space).min(modules.len());
-            for (local, &g) in modules.iter().enumerate() {
+            for (local, g) in modules.enumerate() {
                 if self.machine.module(g).has_mram() {
                     self.machine
                         .module_mut(g)
@@ -1059,8 +1080,8 @@ impl CycleBackend {
     /// legs read on one side and write on the other through the Data
     /// Allocator's MEM interface.
     fn transfer_leg(&mut self, leg: MovementLeg, bytes: usize) -> Result<(), BackendError> {
-        let src_mods: Vec<usize> = self.cluster_modules(leg.src.cluster()).collect();
-        let dst_mods: Vec<usize> = self.cluster_modules(leg.dst.cluster()).collect();
+        let src_mods = self.cluster_modules(leg.src.cluster());
+        let dst_mods = self.cluster_modules(leg.dst.cluster());
         if src_mods.is_empty() || dst_mods.is_empty() {
             return Ok(());
         }
@@ -1080,8 +1101,8 @@ impl CycleBackend {
         let base = bytes / lanes;
         let rem = bytes % lanes;
         let at = self.machine.now();
-        for (i, &src_g) in src_mods.iter().enumerate() {
-            let dst_g = dst_mods[i % dst_mods.len()];
+        for (i, src_g) in src_mods.enumerate() {
+            let dst_g = dst_mods.start + i % dst_mods.len();
             let mut remaining = base + usize::from(i < rem);
             while remaining > 0 {
                 let chunk = remaining.min(chunk_max);
@@ -1212,6 +1233,10 @@ impl CycleBackend {
         };
         let movement_native = self.machine.now().saturating_since(slice_start);
 
+        #[cfg(test)]
+        if let Some((perturb, seed)) = self.before_tasks.take() {
+            perturb(&mut self.machine, seed);
+        }
         let busy_start = self.machine.now();
         match self.mode {
             ExecMode::TimingGraph => self.replay_tasks(run, n_tasks)?,
@@ -1457,6 +1482,77 @@ fn unify_machine_cat(cat: hhpim_pim::EnergyCat) -> EnergyCat {
 mod tests {
     use super::*;
     use hhpim_workload::{Scenario, ScenarioParams};
+
+    /// Leaves the machine in an unusual start state for the next tasks:
+    /// the clock jumped ahead without accrual (every powered component
+    /// then lags), and/or one powered module still streaming (its banks,
+    /// PE, free instant and the issue pipeline busy past `now`).
+    fn perturb(machine: &mut PimMachine, seed: u64) {
+        if seed & 1 == 1 {
+            let jump = SimDuration::from_ps(1 + (seed >> 8) % 5_000_000);
+            machine.idle_until(machine.now() + jump);
+        }
+        if seed & 2 == 2 {
+            let g = (seed >> 40) as usize % machine.module_count();
+            let module = machine.module(g);
+            if module.pe().is_powered()
+                && module.bank(MemSelect::Sram).state() == hhpim_mem::GateState::On
+            {
+                let count = 1 + (seed >> 48) as usize % 400;
+                machine
+                    .mac_stream(ModuleMask::single(g as u8), MemSelect::Sram, 0, count)
+                    .unwrap();
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(3))]
+
+        /// The task memo keys on the *relative* start state: tasks
+        /// starting from perturbed states (accrual lags, busy modules,
+        /// ports and pipelines) must leave exactly the machine the
+        /// object walk leaves, slice after slice, on every architecture
+        /// and model — a tape recorded from one start state must never
+        /// serve another.
+        #[test]
+        fn memo_replay_matches_the_object_walk_from_perturbed_starts(seed in proptest::prelude::any::<u64>()) {
+            // SplitMix64: the draws below need no more than that.
+            let mut state = seed;
+            let mut next = move || {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^ (z >> 31)
+            };
+            for arch in Architecture::ALL {
+                for model in [TinyMlModel::MobileNetV2, TinyMlModel::EfficientNetB0, TinyMlModel::ResNet18] {
+                    let mut graph = CycleBackend::new(arch, model).unwrap();
+                    let mut object = CycleBackend::new(arch, model).unwrap();
+                    object.set_exec_mode(ExecMode::ObjectWalk);
+                    let max = graph.runtime_config().max_tasks;
+                    for slice in 0..10 {
+                        let draw = next();
+                        let n = if draw % 3 == 0 { 1 } else { 1 + (draw >> 8) as u32 % max };
+                        // Every other slice starts from a settled state, so
+                        // perturbed and settled starts share programs.
+                        let start = if slice % 2 == 1 { next() } else { 0 };
+                        graph.before_tasks = Some((perturb, start));
+                        object.before_tasks = Some((perturb, start));
+                        let g = graph.step_slice(n).unwrap();
+                        let o = object.step_slice(n).unwrap();
+                        proptest::prop_assert_eq!(&g, &o);
+                        proptest::prop_assert!(
+                            graph.machine() == object.machine(),
+                            "{:?}/{:?}: machines diverged after slice {} (n = {}, start {:#x})",
+                            arch, model, slice, n, start
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     fn small(scenario: Scenario) -> LoadTrace {
         LoadTrace::generate(

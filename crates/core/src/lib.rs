@@ -25,7 +25,9 @@
 //!   lowers a compiled program + placement into a flat arena of
 //!   pre-resolved nodes replayed bit-identically to the object walk
 //!   (which stays on as the oracle behind
-//!   [`backend::ExecMode::ObjectWalk`]),
+//!   [`backend::ExecMode::ObjectWalk`]), and memoizes each task's
+//!   effect per (program, relative start state) as a tape of ordered
+//!   f64 addends ([`MemoStats`]),
 //! * [`error`] — the facade [`enum@Error`]: one enum over every
 //!   layer's failure modes, with `From` impls and source chaining,
 //! * [`Architecture`] / [`ArchSpec`] — the four Table I processors
@@ -131,7 +133,7 @@ pub use session::{
 };
 pub use space::{movement_legs, MovementLeg, Placement, StorageSpace};
 pub use store::{CacheStats, PlacementKey, PlacementStore};
-pub use timegraph::TimeGraph;
+pub use timegraph::{MemoStats, TimeGraph};
 pub use traffic::{
     drive_closed_loop, record_slices, run_paced, serve_paced, stream, ArrivalProcess, BurstyOnOff,
     ClosedLoop, ClosedLoopConfig, ClosedLoopReport, ConstantRate, Diurnal, LoadDistribution,

@@ -45,6 +45,21 @@
 //! by [`Placement`] in a small map). Only machine *geometry* would
 //! invalidate lowering, and a backend's machine geometry is fixed at
 //! construction.
+//!
+//! Most tasks need not walk the arena at all. A task's effect depends
+//! only on its program and on the machine's state *relative to `now`*,
+//! and most tasks start from the same few relative states (usually a
+//! fully settled machine). The graph keeps a task memo: the first task
+//! from a given (program, relative start state) runs node by node with
+//! every energy accumulator recording its addends, and files a tape —
+//! the ordered f64 addends per accumulator between probe points, plus
+//! the integer effects (end instants, counter deltas, head state). A
+//! later task with the same key applies the addends in the same order,
+//! folds the total where the machine probed (through the same
+//! [`hhpim_pim::PimMachine::fold_total`] the probe uses) and restores
+//! the integer state, so every f64 operation is the node replay's and
+//! reports stay bit-identical. See [`MemoStats`] and
+//! `docs/timegraph.md`.
 
 use crate::arch::ArchSpec;
 use crate::backend::BackendError;
@@ -53,9 +68,10 @@ use crate::engine::LayerAcc;
 use crate::space::Placement;
 use hhpim_isa::{MemSelect, ModuleMask};
 use hhpim_mem::{AccessKind, ClusterClass, MemKind, ResolvedAccess};
-use hhpim_pim::{MachineError, PimMachine};
-use hhpim_sim::{SimTime, TimeQueue};
+use hhpim_pim::{MachineError, PimMachine, ENERGY_SLOTS};
+use hhpim_sim::{Scalar, SimDuration, SimTime, TimeQueue};
 use std::collections::HashMap;
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::ops::Range;
 
 /// Kind of one lowered node.
@@ -173,6 +189,9 @@ struct NodeProgram {
     acts: Vec<u8>,
     /// Global indices of the modules hosting the head.
     head_modules: Vec<usize>,
+    /// Whether the program runs the bit-exact head (and so leaves
+    /// accumulator state behind on `head_modules`).
+    has_head: bool,
 }
 
 /// The cycle backend's flat timing graph: cached lowered programs (one
@@ -187,6 +206,7 @@ pub struct TimeGraph {
     queue: TimeQueue,
     hp_modules: usize,
     module_count: usize,
+    memo: TaskMemo,
 }
 
 impl TimeGraph {
@@ -205,13 +225,25 @@ impl TimeGraph {
         self.programs.iter().map(|p| p.nodes.len()).sum()
     }
 
-    /// Drops every cached program (coefficients and queue geometry
-    /// survive); the next replay lowers afresh. Exists so builds can be
-    /// measured in isolation.
+    /// Task-memo counters: tasks served from a tape, tasks replayed
+    /// node by node, tapes held and their bytes.
+    pub fn memo_stats(&self) -> MemoStats {
+        MemoStats {
+            hits: self.memo.hits,
+            misses: self.memo.misses,
+            tapes: self.memo.tapes.len(),
+            bytes: self.memo.bytes(),
+        }
+    }
+
+    /// Drops every cached program and task tape (coefficients and queue
+    /// geometry survive); the next replay lowers afresh. Exists so
+    /// builds can be measured in isolation.
     pub fn clear(&mut self) {
         self.programs.clear();
         self.by_placement.clear();
         self.table = None;
+        self.memo = TaskMemo::default();
     }
 
     /// Returns the cached program index for `placement`, lowering it
@@ -242,6 +274,7 @@ impl TimeGraph {
         let mut nodes = Vec::new();
         let mut layer_spans = Vec::with_capacity(program.layers().len());
         let mut acts = Vec::new();
+        let mut has_head = false;
         for layer in program.layers() {
             let start = nodes.len();
             match &layer.op {
@@ -277,6 +310,7 @@ impl TimeGraph {
                     }
                 }
                 LayerOp::Head(plan) => {
+                    has_head = true;
                     acts = input.iter().map(|&v| v as u8).collect();
                     nodes.push(Node::sync(NodeOp::HeadActs));
                     let waves = plan.out_features().div_ceil(head_modules.len());
@@ -326,6 +360,7 @@ impl TimeGraph {
             layer_spans,
             acts,
             head_modules: head_modules.to_vec(),
+            has_head,
         });
         self.by_placement.insert(*placement, idx);
         idx
@@ -360,9 +395,15 @@ impl TimeGraph {
         }
     }
 
-    /// Replays one task's lowered program on `machine`, accumulating
-    /// per-layer accounting into `accs` exactly as the object path's
-    /// task loop does (probe-chained deltas per layer).
+    /// Runs one task of `program` on `machine`, accumulating per-layer
+    /// accounting into `accs` exactly as the object path's task loop
+    /// does (probe-chained deltas per layer).
+    ///
+    /// The task memo is consulted first: a task starting from a state
+    /// seen before (same program, same machine state relative to `now`;
+    /// see [`TaskMemo`]) replays its recorded tape instead of its nodes.
+    /// Otherwise the nodes run, and while the memo has room the run is
+    /// recorded as a new tape.
     ///
     /// # Errors
     ///
@@ -378,43 +419,635 @@ impl TimeGraph {
     ) -> Result<(), BackendError> {
         let table = self.table.expect("ensure_program ran before replay");
         let prog = &self.programs[program];
-        let queue = &mut self.queue;
-        let mut probe = machine.probe();
-        for (i, span) in prog.layer_spans.iter().enumerate() {
-            let t0 = machine.now();
-            for node in &prog.nodes[span.clone()] {
-                match node.op {
-                    NodeOp::Stream | NodeOp::HeadClear | NodeOp::HeadMac => {
-                        dispatch(
-                            machine,
-                            queue,
-                            &table,
-                            node,
-                            self.hp_modules,
-                            self.module_count,
-                        )?;
-                    }
-                    NodeOp::HeadActs => {
-                        for &g in &prog.head_modules {
-                            machine
-                                .preload_activations(g, &prog.acts)
-                                .map_err(|e| BackendError::Compile(CompileError::Machine(e)))?;
-                        }
-                    }
-                    NodeOp::Barrier => {
-                        machine.note_instruction();
-                        machine.idle_until(queue.max());
-                    }
-                }
-            }
-            let done = machine.probe();
-            accs[i].macs += done.macs - probe.macs;
-            accs[i].time += machine.now().saturating_since(t0);
-            accs[i].energy_pj += done.total.as_pj() - probe.total.as_pj();
-            probe = done;
+        let memo = &mut self.memo;
+        memo.load_key(machine, &mut self.queue, program);
+        if let Some(&tape) = memo.index.get(&memo.key[..]) {
+            memo.hits += 1;
+            return memo.apply(tape, machine, &mut self.queue, prog, accs);
+        }
+        memo.misses += 1;
+        let mut run =
+            |machine: &mut PimMachine, queue: &mut TimeQueue, rec: Option<&mut TapeRecorder>| {
+                run_nodes(
+                    machine,
+                    queue,
+                    &table,
+                    prog,
+                    self.hp_modules,
+                    self.module_count,
+                    accs,
+                    rec,
+                )
+            };
+        if memo.full {
+            return run(machine, &mut self.queue, None);
+        }
+        let start = machine.now();
+        memo.load_scalars(machine, &mut self.queue, false);
+        let mut recorder = TapeRecorder::default();
+        machine.set_energy_recording(true);
+        let result = run(machine, &mut self.queue, Some(&mut recorder));
+        machine.set_energy_recording(false);
+        result?;
+        memo.load_scalars(machine, &mut self.queue, true);
+        if let Some(task) = recorder.finish(memo, machine, prog, start) {
+            memo.insert(task);
         }
         Ok(())
     }
+}
+
+/// Runs one task's nodes on `machine`, accumulating per-layer accounting
+/// into `accs` (probe-chained deltas per layer). With a recorder, every
+/// probe point — the task-start probe and each layer's closing probe —
+/// also closes one tape layer.
+#[allow(clippy::too_many_arguments)]
+fn run_nodes(
+    machine: &mut PimMachine,
+    queue: &mut TimeQueue,
+    table: &ResolvedTable,
+    prog: &NodeProgram,
+    hp_modules: usize,
+    module_count: usize,
+    accs: &mut [LayerAcc],
+    mut rec: Option<&mut TapeRecorder>,
+) -> Result<(), BackendError> {
+    let mut probe = machine.probe();
+    if let Some(rec) = rec.as_deref_mut() {
+        rec.close_layer(machine);
+    }
+    for (i, span) in prog.layer_spans.iter().enumerate() {
+        let t0 = machine.now();
+        for node in &prog.nodes[span.clone()] {
+            match node.op {
+                NodeOp::Stream | NodeOp::HeadClear | NodeOp::HeadMac => {
+                    dispatch(machine, queue, table, node, hp_modules, module_count)?;
+                }
+                NodeOp::HeadActs => preload_head(machine, prog)?,
+                NodeOp::Barrier => {
+                    machine.note_instruction();
+                    machine.idle_until(queue.max());
+                }
+            }
+        }
+        let done = machine.probe();
+        let macs = done.macs - probe.macs;
+        let time = machine.now().saturating_since(t0);
+        accs[i].macs += macs;
+        accs[i].time += time;
+        accs[i].energy_pj += done.total.as_pj() - probe.total.as_pj();
+        if let Some(rec) = rec.as_deref_mut() {
+            rec.close_layer(machine);
+            rec.note_layer(macs, time);
+        }
+        probe = done;
+    }
+    Ok(())
+}
+
+/// The head's untimed activation preload into every head module.
+fn preload_head(machine: &mut PimMachine, prog: &NodeProgram) -> Result<(), BackendError> {
+    for &g in &prog.head_modules {
+        machine
+            .preload_activations(g, &prog.acts)
+            .map_err(|e| BackendError::Compile(CompileError::Machine(e)))?;
+    }
+    Ok(())
+}
+
+/// Byte budget of one graph's task memo. Past it, unseen start states
+/// replay node by node without being recorded.
+const MEMO_BUDGET_BYTES: usize = 64 * 1024;
+
+/// Counters of a [`TimeGraph`]'s task memo (see
+/// [`TimeGraph::memo_stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemoStats {
+    /// Tasks replayed from a recorded tape.
+    pub hits: u64,
+    /// Tasks replayed node by node (recorded while the memo had room).
+    pub misses: u64,
+    /// Tapes held.
+    pub tapes: usize,
+    /// Bytes held by the tapes, their keys and their shared blocks.
+    pub bytes: usize,
+}
+
+/// Tapes of recorded tasks, keyed by program and start state.
+///
+/// A task's effect on the machine is a function of its program and of
+/// the machine's state *relative to `now`*: every operation starts at
+/// or after `now`, so absolute time only shifts the result. The key
+/// therefore holds, besides the program index:
+///
+/// * every power flag (which banks, PEs and controllers accrue static
+///   energy — also which banks reject accesses as gated);
+/// * every free instant (bank ports, PE units, modules, issue
+///   pipelines, the machine clock and the time-queue slots) clamped at
+///   `now`, since work never starts earlier;
+/// * every powered component's accrual mark as a signed offset from
+///   `now` (it sizes the static-energy addend); unpowered marks are
+///   clamped like free instants, since they accrue nothing.
+///
+/// Counters, occupancy and memory contents are not in the key: counters
+/// change by fixed deltas, host preloads are re-executed on a hit, and
+/// the bytes a task reads (the head's rows and activations) are fixed
+/// by its program.
+///
+/// Storage is deduplicated: a tape is a list of [`Block`]s (one per
+/// probe point), and tapes of one program that started from different
+/// states share every block past the point where they converge — as do
+/// layers of one program that do the same work.
+#[derive(Debug, Default)]
+struct TaskMemo {
+    /// Key → tape.
+    index: HashMap<Box<[u64]>, usize>,
+    tapes: Vec<Tape>,
+    blocks: Vec<Block>,
+    /// Content hash per block, for deduplication.
+    block_hashes: Vec<u64>,
+    /// Addend groups of every block.
+    groups: Vec<Group>,
+    /// Addends of every group, in picojoules (the `f64` inside each
+    /// [`hhpim_mem::Energy`]).
+    addends: Vec<f64>,
+    hits: u64,
+    misses: u64,
+    /// Set once a tape did not fit the budget: recording stops.
+    full: bool,
+    /// The current task's key (a reused buffer).
+    key: Vec<u64>,
+    /// Scalar state at the start of a recorded task (a reused buffer).
+    start: Vec<u64>,
+    /// Scalar state at its end (a reused buffer).
+    end: Vec<u64>,
+    /// Per scalar, whether it is an instant (a reused buffer, filled
+    /// with `start`).
+    instants: Vec<bool>,
+}
+
+impl TaskMemo {
+    /// Builds the key of a task of `program` starting from `machine`'s
+    /// current state into `self.key`: the program, the power flags,
+    /// then `(index, offset)` for every instant whose offset from `now`
+    /// is not zero — instants are walked in a fixed order, so the pairs
+    /// spell out the whole relative state while a settled machine (the
+    /// common case) keys in two words. A powered component's accrual
+    /// mark may lie on either side of `now`; its offset wraps.
+    #[inline]
+    fn load_key(&mut self, machine: &mut PimMachine, queue: &mut TimeQueue, program: usize) {
+        let now = machine.now().as_ps();
+        let key = &mut self.key;
+        key.clear();
+        key.push(program as u64);
+        key.push(0);
+        let mut flags = 0u64;
+        let mut bit = 0u32;
+        let mut index = 0u64;
+        let mut visit = |scalar: Scalar<'_>| {
+            let offset = match scalar {
+                Scalar::Free(t) => t.as_ps().max(now) - now,
+                Scalar::Accrual(t, powered) => {
+                    flags |= u64::from(powered) << bit;
+                    bit += 1;
+                    if powered {
+                        t.as_ps().wrapping_sub(now)
+                    } else {
+                        t.as_ps().max(now) - now
+                    }
+                }
+                Scalar::Busy(_) | Scalar::Count(_) => return,
+            };
+            if offset != 0 {
+                key.push(index);
+                key.push(offset);
+            }
+            index += 1;
+        };
+        // At most 26 flags: three per module (of at most eight), one
+        // per controller.
+        machine.visit_scalars(&mut visit);
+        queue.visit_scalars(&mut visit);
+        key[1] = flags;
+    }
+
+    /// Copies every scalar of `machine` and `queue` into `self.start`
+    /// (or `self.end`), in walk order.
+    fn load_scalars(&mut self, machine: &mut PimMachine, queue: &mut TimeQueue, end: bool) {
+        let out = if end { &mut self.end } else { &mut self.start };
+        let instants = &mut self.instants;
+        out.clear();
+        if !end {
+            instants.clear();
+        }
+        let mut visit = |scalar: Scalar<'_>| {
+            let (value, instant) = match scalar {
+                Scalar::Free(t) | Scalar::Accrual(t, _) => (t.as_ps(), true),
+                Scalar::Busy(d) => (d.as_ps(), false),
+                Scalar::Count(c) => (*c, false),
+            };
+            out.push(value);
+            if !end {
+                instants.push(instant);
+            }
+        };
+        machine.visit_scalars(&mut visit);
+        queue.visit_scalars(&mut visit);
+    }
+
+    /// Bytes held: the key index, the tapes, the blocks and their
+    /// groups and addends (by capacity).
+    fn bytes(&self) -> usize {
+        use std::mem::{size_of, size_of_val};
+        self.index.capacity() * (size_of::<(Box<[u64]>, usize)>() + 1)
+            + self.index.keys().map(|k| size_of_val(&**k)).sum::<usize>()
+            + self.tapes.capacity() * size_of::<Tape>()
+            + self.tapes.iter().map(Tape::heap_bytes).sum::<usize>()
+            + self.blocks.capacity() * size_of::<Block>()
+            + self.block_hashes.capacity() * size_of::<u64>()
+            + self.groups.capacity() * size_of::<Group>()
+            + self.addends.capacity() * size_of::<f64>()
+    }
+
+    /// Returns the id of a block equal to `block` (over `groups` and
+    /// `addends`), appending it first if none exists.
+    fn intern(&mut self, block: &RecordedBlock) -> u16 {
+        let mut hasher = DefaultHasher::new();
+        block.groups.hash(&mut hasher);
+        for a in &block.addends {
+            a.to_bits().hash(&mut hasher);
+        }
+        (block.macs, block.time).hash(&mut hasher);
+        let hash = hasher.finish();
+        let same = |b: &Block| {
+            let groups = &self.groups[b.groups.0 as usize..b.groups.1 as usize];
+            let addends =
+                &self.addends[b.addends as usize..b.addends as usize + block.addends.len()];
+            b.macs == block.macs
+                && b.time == block.time
+                && groups == &block.groups[..]
+                && same_bits(addends, &block.addends)
+        };
+        let existing = (0..self.blocks.len()).find(|&i| {
+            self.block_hashes[i] == hash
+                && self.addends.len() >= self.blocks[i].addends as usize + block.addends.len()
+                && same(&self.blocks[i])
+        });
+        let id = existing.unwrap_or_else(|| {
+            let first_group = to_u32(self.groups.len());
+            self.groups.extend_from_slice(&block.groups);
+            let first_addend = to_u32(self.addends.len());
+            self.addends.extend_from_slice(&block.addends);
+            self.blocks.push(Block {
+                groups: (first_group, to_u32(self.groups.len())),
+                addends: first_addend,
+                macs: block.macs,
+                time: block.time,
+            });
+            self.block_hashes.push(hash);
+            self.blocks.len() - 1
+        });
+        u16::try_from(id).expect("block ids fit 16 bits")
+    }
+
+    /// Files a recorded task under the current key, unless that would
+    /// take the memo past its budget (recording then stops for good).
+    fn insert(&mut self, recorded: RecordedTask) {
+        let lens = (self.blocks.len(), self.groups.len(), self.addends.len());
+        let blocks = recorded.blocks.iter().map(|b| self.intern(b)).collect();
+        let tape = Tape {
+            blocks,
+            effects: recorded.effects.into_boxed_slice(),
+            values: recorded.values.into_boxed_slice(),
+            heads: recorded.heads.into_boxed_slice(),
+        };
+        self.index
+            .insert(self.key.clone().into_boxed_slice(), self.tapes.len());
+        self.tapes.push(tape);
+        self.shrink();
+        if self.bytes() > MEMO_BUDGET_BYTES {
+            self.index.remove(&self.key[..]);
+            self.tapes.pop();
+            self.blocks.truncate(lens.0);
+            self.block_hashes.truncate(lens.0);
+            self.groups.truncate(lens.1);
+            self.addends.truncate(lens.2);
+            self.shrink();
+            self.full = true;
+        }
+    }
+
+    /// Trims every store to its length, so [`Self::bytes`] is what the
+    /// memo holds.
+    fn shrink(&mut self) {
+        self.index.shrink_to_fit();
+        self.tapes.shrink_to_fit();
+        self.blocks.shrink_to_fit();
+        self.block_hashes.shrink_to_fit();
+        self.groups.shrink_to_fit();
+        self.addends.shrink_to_fit();
+    }
+
+    /// Replays tape `id` on `machine`: each block's addends into an
+    /// energy view, the view folded at every probe point for the
+    /// per-layer deltas, then the view, scalars, head state and host
+    /// preload written back.
+    fn apply(
+        &self,
+        id: usize,
+        machine: &mut PimMachine,
+        queue: &mut TimeQueue,
+        prog: &NodeProgram,
+        accs: &mut [LayerAcc],
+    ) -> Result<(), BackendError> {
+        let tape = &self.tapes[id];
+        let start = machine.now().as_ps();
+        let mut view = machine.energy_view();
+        let mut prev = 0.0;
+        for (layer, &block) in tape.blocks.iter().enumerate() {
+            let block = &self.blocks[usize::from(block)];
+            let mut addend = block.addends as usize;
+            for group in &self.groups[block.groups.0 as usize..block.groups.1 as usize] {
+                let adds = &self.addends[addend..addend + usize::from(group.len)];
+                addend += usize::from(group.len);
+                let row = usize::from(group.kind) * 8;
+                add_in_order(
+                    &mut view.0[row + usize::from(group.lo)..row + usize::from(group.hi)],
+                    adds,
+                );
+            }
+            let total = machine.fold_total(&view).as_pj();
+            if let Some(i) = layer.checked_sub(1) {
+                accs[i].macs += block.macs;
+                accs[i].time += block.time;
+                accs[i].energy_pj += total - prev;
+            }
+            prev = total;
+        }
+        machine.set_energy_view(&view);
+        let mut effects = tape.effects.iter();
+        let mut visit = |scalar: Scalar<'_>| {
+            let effect = tape.values[usize::from(*effects.next().expect("one effect per scalar"))];
+            match scalar {
+                Scalar::Free(t) | Scalar::Accrual(t, _) => {
+                    if effect != 0 {
+                        *t = SimTime::from_ps(start + effect - 1);
+                    }
+                }
+                Scalar::Busy(d) => *d += SimDuration::from_ps(effect),
+                Scalar::Count(c) => *c = c.wrapping_add(effect),
+            }
+        };
+        machine.visit_scalars(&mut visit);
+        queue.visit_scalars(&mut visit);
+        for (&g, &(acc, act_ptr)) in prog.head_modules.iter().zip(&*tape.heads) {
+            machine.module_mut(g).set_acc_state((acc, act_ptr as usize));
+        }
+        if prog.has_head {
+            preload_head(machine, prog)?;
+        }
+        Ok(())
+    }
+}
+
+/// Adds `adds`, in order, to every lane. The common shapes — one
+/// cluster's four modules or the two controllers, taking one or two
+/// addends — are spelled out at fixed width, which compiles to
+/// straight-line code instead of a loop nest whose trip counts change
+/// from group to group.
+#[inline]
+fn add_in_order(lanes: &mut [f64], adds: &[f64]) {
+    match (lanes, adds) {
+        ([a, b, c, d], &[x]) => {
+            for acc in [a, b, c, d] {
+                *acc += x;
+            }
+        }
+        ([a, b, c, d], &[x, y]) => {
+            for acc in [a, b, c, d] {
+                *acc += x;
+                *acc += y;
+            }
+        }
+        ([a, b], &[x]) => {
+            *a += x;
+            *b += x;
+        }
+        (lanes, adds) => {
+            for acc in lanes {
+                for &x in adds {
+                    *acc += x;
+                }
+            }
+        }
+    }
+}
+
+/// One recorded task. Energy is kept as the f64 addends each
+/// accumulator received, one [`Block`] per probe point (block 0 is the
+/// task-start probe, block `i + 1` ends with program layer `i`'s closing
+/// probe). Replaying the addends in order per accumulator and folding
+/// the view where the machine probed performs the same f64 operations as
+/// the node replay.
+#[derive(Debug)]
+struct Tape {
+    blocks: Box<[u16]>,
+    /// One effect per scalar in walk order, as an index into `values`.
+    /// For instants the value is `0` when untouched, else one more than
+    /// the end instant's offset from the start `now`; for busy times and
+    /// counters it is the delta. A task's effects take few distinct
+    /// values (every accrual mark ends at the same instant, most
+    /// counters move by the same few amounts).
+    effects: Box<[u8]>,
+    values: Box<[u64]>,
+    /// Accumulator and activation pointer of every head module.
+    heads: Box<[(i32, u32)]>,
+}
+
+impl Tape {
+    fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.blocks)
+            + self.effects.len()
+            + std::mem::size_of_val(&*self.values)
+            + std::mem::size_of_val(&*self.heads)
+    }
+}
+
+/// The addends one probe point's span left in the machine, plus the
+/// layer's MACs and time.
+#[derive(Debug, Clone, Copy)]
+struct Block {
+    /// Range of this block's groups in [`TaskMemo::groups`].
+    groups: (u32, u32),
+    /// First addend of this block in [`TaskMemo::addends`].
+    addends: u32,
+    macs: u64,
+    time: SimDuration,
+}
+
+/// `len` addends applied, in order, to lanes `lo..hi` of row `kind` of
+/// the [`EnergyView`](hhpim_pim::EnergyView): one accumulator of a run
+/// of modules (rows `0..8`) or of controllers (rows 8 and 9).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct Group {
+    kind: u8,
+    lo: u8,
+    hi: u8,
+    len: u8,
+}
+
+/// A block as recorded, before interning.
+#[derive(Debug, Default)]
+struct RecordedBlock {
+    groups: Vec<Group>,
+    addends: Vec<f64>,
+    macs: u64,
+    time: SimDuration,
+}
+
+/// A task as recorded, before interning.
+#[derive(Debug)]
+struct RecordedTask {
+    blocks: Vec<RecordedBlock>,
+    effects: Vec<u8>,
+    values: Vec<u64>,
+    heads: Vec<(i32, u32)>,
+}
+
+/// Collects a tape's blocks while a task runs node by node with energy
+/// recording on.
+#[derive(Debug)]
+struct TapeRecorder {
+    blocks: Vec<RecordedBlock>,
+    /// This block's addends per energy-view slot, as a range of
+    /// `sequences`, empty when the slot received none (a reused
+    /// buffer, as is `sequences`).
+    by_slot: [(u32, u32); ENERGY_SLOTS],
+    sequences: Vec<f64>,
+}
+
+impl Default for TapeRecorder {
+    fn default() -> Self {
+        TapeRecorder {
+            blocks: Vec::new(),
+            by_slot: [(0, 0); ENERGY_SLOTS],
+            sequences: Vec::new(),
+        }
+    }
+}
+
+impl TapeRecorder {
+    /// Closes one block: drains every accumulator's recorded addends
+    /// and groups runs of lanes of one row whose addend sequences are
+    /// bit-equal (the modules of a cluster usually are).
+    fn close_layer(&mut self, machine: &mut PimMachine) {
+        let (by_slot, sequences) = (&mut self.by_slot, &mut self.sequences);
+        by_slot.fill((0, 0));
+        sequences.clear();
+        machine.drain_energy_record(|slot, adds| {
+            let from = to_u32(sequences.len());
+            sequences.extend(adds.iter().map(|a| a.as_pj()));
+            by_slot[slot] = (from, to_u32(sequences.len()));
+        });
+        let seq = |(from, to): (u32, u32)| &sequences[from as usize..to as usize];
+        let mut block = RecordedBlock::default();
+        for (kind, row) in by_slot.chunks_exact(8).enumerate() {
+            let mut done = 0u8;
+            for (lane, &range) in row.iter().enumerate() {
+                if range.0 == range.1 || done >> lane & 1 == 1 {
+                    continue;
+                }
+                let adds = seq(range);
+                let mut lanes = 0u8;
+                for (other, &other_range) in row.iter().enumerate().skip(lane) {
+                    if other_range.0 != other_range.1 && same_bits(adds, seq(other_range)) {
+                        lanes |= 1 << other;
+                    }
+                }
+                done |= lanes;
+                // One group per run of consecutive lanes, and per 255
+                // addends.
+                while lanes != 0 {
+                    let lo = lanes.trailing_zeros() as u8;
+                    let hi = lo + (lanes >> lo).trailing_ones() as u8;
+                    lanes &= !(((1u16 << hi) - (1u16 << lo)) as u8);
+                    for chunk in adds.chunks(usize::from(u8::MAX)) {
+                        block.groups.push(Group {
+                            kind: kind as u8,
+                            lo,
+                            hi,
+                            len: chunk.len() as u8,
+                        });
+                        block.addends.extend_from_slice(chunk);
+                    }
+                }
+            }
+        }
+        self.blocks.push(block);
+    }
+
+    /// The MACs and time of the program layer the last block closed.
+    fn note_layer(&mut self, macs: u64, time: SimDuration) {
+        let block = self.blocks.last_mut().expect("a block was closed");
+        block.macs = macs;
+        block.time = time;
+    }
+
+    /// Completes the task from the memo's start/end scalar snapshots;
+    /// `None` when an instant moved without landing at or after the
+    /// start `now` (never expected), or the effects take over 256
+    /// distinct values — the task is then simply not memoized.
+    fn finish(
+        self,
+        memo: &TaskMemo,
+        machine: &PimMachine,
+        prog: &NodeProgram,
+        start: SimTime,
+    ) -> Option<RecordedTask> {
+        let start_ps = start.as_ps();
+        let mut effects = Vec::with_capacity(memo.start.len());
+        let mut values = Vec::new();
+        for ((&from, &to), &instant) in memo.start.iter().zip(&memo.end).zip(&memo.instants) {
+            let effect = if !instant {
+                to.wrapping_sub(from)
+            } else if to == from {
+                0
+            } else {
+                to.checked_sub(start_ps)? + 1
+            };
+            let index = values.iter().position(|&v| v == effect).unwrap_or_else(|| {
+                values.push(effect);
+                values.len() - 1
+            });
+            effects.push(u8::try_from(index).ok()?);
+        }
+        let heads = if prog.has_head {
+            prog.head_modules
+                .iter()
+                .map(|&g| {
+                    let (acc, act_ptr) = machine.module(g).acc_state();
+                    u32::try_from(act_ptr).map(|p| (acc, p)).ok()
+                })
+                .collect::<Option<_>>()?
+        } else {
+            Vec::new()
+        };
+        Some(RecordedTask {
+            blocks: self.blocks,
+            effects,
+            values,
+            heads,
+        })
+    }
+}
+
+/// Whether two addend sequences are equal bit for bit.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+fn to_u32(n: usize) -> u32 {
+    u32::try_from(n).expect("memo arenas fit 32-bit indices")
 }
 
 /// Issues one dispatching node: per selected cluster (HP first, then
@@ -670,6 +1303,33 @@ mod tests {
         assert_eq!(g_events, o_events);
         assert!(!g_events.is_empty());
         assert_eq!(ge.drain().unwrap(), oe.drain().unwrap());
+    }
+
+    #[test]
+    fn memo_serves_most_tasks_within_its_budget() {
+        let mut backend = CycleBackend::new(Architecture::HhPim, TinyMlModel::MobileNetV2).unwrap();
+        let trace = LoadTrace::generate(
+            Scenario::PeriodicSpike,
+            ScenarioParams {
+                slices: 200,
+                ..ScenarioParams::default()
+            },
+        );
+        let report = backend.execute(&trace).unwrap();
+        let tasks: u64 = report.records.iter().map(|r| u64::from(r.n_tasks)).sum();
+        let stats = backend.timegraph().memo_stats();
+        assert_eq!(
+            stats.hits + stats.misses,
+            tasks,
+            "every task consults the memo"
+        );
+        assert!(
+            stats.hits * 100 >= tasks * 95,
+            "memo served {} of {tasks} tasks",
+            stats.hits
+        );
+        assert!(stats.tapes > 0);
+        assert!(stats.bytes <= 64 * 1024, "memo holds {} bytes", stats.bytes);
     }
 
     /// Delegates to a real cycle backend but fails one chosen slice —

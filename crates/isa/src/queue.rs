@@ -37,7 +37,7 @@ impl std::error::Error for QueueFullError {}
 /// assert_eq!(q.pop().unwrap(), Ok(PimInstruction::Nop));
 /// assert_eq!(q.len(), 1);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InstructionQueue {
     words: VecDeque<u64>,
     capacity: usize,

@@ -12,9 +12,9 @@
 //! * **Static energy** — accrued continuously while powered on, scaled
 //!   to the bank's capacity from the 64 kB reference of Table V.
 
-use crate::energy::{Energy, Power};
+use crate::energy::{Energy, EnergyAccumulator, Power};
 use crate::tech::MemoryTech;
-use hhpim_sim::{BusyResource, SimDuration, SimTime};
+use hhpim_sim::{BusyResource, Scalar, SimDuration, SimTime};
 use std::fmt;
 
 /// Power state of a bank.
@@ -139,7 +139,7 @@ pub struct ResolvedAccess {
 /// let acc = bank.access(SimTime::ZERO, AccessKind::Read, 1).unwrap();
 /// assert_eq!(acc.done_at.as_ps(), 1_120); // 1.12 ns HP-SRAM read
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemoryBank {
     tech: MemoryTech,
     capacity: usize,
@@ -150,9 +150,9 @@ pub struct MemoryBank {
     state: GateState,
     gate: GateParams,
     last_accrual: SimTime,
-    static_energy: Energy,
-    dynamic_energy: Energy,
-    wake_energy_total: Energy,
+    static_energy: EnergyAccumulator,
+    dynamic_energy: EnergyAccumulator,
+    wake_energy_total: EnergyAccumulator,
     reads: u64,
     writes: u64,
     wakeups: u64,
@@ -175,9 +175,9 @@ impl MemoryBank {
             state: GateState::On,
             gate: GateParams::default(),
             last_accrual: SimTime::ZERO,
-            static_energy: Energy::ZERO,
-            dynamic_energy: Energy::ZERO,
-            wake_energy_total: Energy::ZERO,
+            static_energy: EnergyAccumulator::default(),
+            dynamic_energy: EnergyAccumulator::default(),
+            wake_energy_total: EnergyAccumulator::default(),
             reads: 0,
             writes: 0,
             wakeups: 0,
@@ -226,24 +226,24 @@ impl MemoryBank {
     /// Accrued static energy up to the last [`Self::advance_to`] call.
     #[inline]
     pub fn static_energy(&self) -> Energy {
-        self.static_energy
+        self.static_energy.get()
     }
 
     /// Accumulated dynamic access energy.
     #[inline]
     pub fn dynamic_energy(&self) -> Energy {
-        self.dynamic_energy
+        self.dynamic_energy.get()
     }
 
     /// Accumulated wake-up energy.
     #[inline]
     pub fn wake_energy(&self) -> Energy {
-        self.wake_energy_total
+        self.wake_energy_total.get()
     }
 
     /// Total energy (static + dynamic + wake).
     pub fn total_energy(&self) -> Energy {
-        self.static_energy + self.dynamic_energy + self.wake_energy_total
+        self.static_energy() + self.dynamic_energy() + self.wake_energy()
     }
 
     /// `(reads, writes, wakeups)` counters.
@@ -262,7 +262,7 @@ impl MemoryBank {
         }
         if self.state == GateState::On {
             let dt = now.saturating_since(self.last_accrual);
-            self.static_energy += self.static_power * dt;
+            self.static_energy.add(self.static_power * dt);
         }
         self.last_accrual = now;
     }
@@ -352,12 +352,39 @@ impl MemoryBank {
         let service = resolved.latency * words;
         let done_at = self.port.acquire(at, service);
         let energy = resolved.energy_per_word * words;
-        self.dynamic_energy += energy;
+        self.dynamic_energy.add(energy);
         match resolved.kind {
             AccessKind::Read => self.reads += words,
             AccessKind::Write => self.writes += words,
         }
         Ok(Access { done_at, energy })
+    }
+
+    /// Walks the bank's timing state and counters: the port's free
+    /// instant, busy total and served count, the static-accrual mark
+    /// (accruing while the bank is on), then the read, write and
+    /// wake-up counters. Occupancy is not walked: host preloads change
+    /// it saturating at capacity, so it is not a replayable delta.
+    #[inline]
+    pub fn visit_scalars(&mut self, f: &mut impl FnMut(Scalar<'_>)) {
+        self.port.visit_scalars(f);
+        f(Scalar::Accrual(
+            &mut self.last_accrual,
+            self.state == GateState::On,
+        ));
+        f(Scalar::Count(&mut self.reads));
+        f(Scalar::Count(&mut self.writes));
+        f(Scalar::Count(&mut self.wakeups));
+    }
+
+    /// The bank's energy accumulators: dynamic, static, wake-up.
+    #[inline]
+    pub fn accumulators_mut(&mut self) -> [&mut EnergyAccumulator; 3] {
+        [
+            &mut self.dynamic_energy,
+            &mut self.static_energy,
+            &mut self.wake_energy_total,
+        ]
     }
 
     /// Power-gates the bank at `now`.
@@ -386,7 +413,7 @@ impl MemoryBank {
         }
         self.state = GateState::On;
         self.wakeups += 1;
-        self.wake_energy_total += self.gate.wake_energy;
+        self.wake_energy_total.add(self.gate.wake_energy);
         // The port is considered busy during wake-up.
         self.port.acquire(now, self.gate.wake_latency)
     }

@@ -169,6 +169,91 @@ impl fmt::Display for Energy {
     }
 }
 
+/// A running energy total that can also record, in order, each addend
+/// it receives.
+///
+/// Every energy counter of the structural models (bank static, dynamic
+/// and wake energy, PE and controller energy) is one of these. The
+/// record is off by default; memoized task replay switches it on for
+/// one recorded task, so it can later re-apply the exact addends in
+/// the exact order — f64 addition does not associate, so the addends,
+/// not their sum, are what reproduce a total bit for bit.
+///
+/// Equality compares totals only: the record is a recording aid, not
+/// model state.
+///
+/// # Examples
+///
+/// ```
+/// use hhpim_mem::{Energy, EnergyAccumulator};
+///
+/// let mut acc = EnergyAccumulator::default();
+/// acc.set_recording(true);
+/// acc.add(Energy::from_pj(0.1));
+/// acc.add(Energy::from_pj(0.2));
+/// assert_eq!(acc.recorded(), &[Energy::from_pj(0.1), Energy::from_pj(0.2)]);
+///
+/// // Re-applying the addends in order lands on the same bits.
+/// let mut replay = Energy::ZERO;
+/// for &e in acc.recorded() {
+///     replay += e;
+/// }
+/// assert_eq!(replay.as_pj().to_bits(), acc.get().as_pj().to_bits());
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct EnergyAccumulator {
+    total: Energy,
+    record: Option<Vec<Energy>>,
+}
+
+impl EnergyAccumulator {
+    /// The running total.
+    #[inline]
+    pub fn get(&self) -> Energy {
+        self.total
+    }
+
+    /// Overwrites the running total (restoring a snapshot).
+    #[inline]
+    pub fn set(&mut self, total: Energy) {
+        self.total = total;
+    }
+
+    /// Adds `e` to the total, recording it when recording is on.
+    #[inline]
+    pub fn add(&mut self, e: Energy) {
+        self.total += e;
+        if let Some(record) = &mut self.record {
+            record.push(e);
+        }
+    }
+
+    /// Switches recording on (with an empty record) or off (dropping
+    /// the record).
+    pub fn set_recording(&mut self, on: bool) {
+        self.record = on.then(Vec::new);
+    }
+
+    /// The addends recorded since recording started or was last
+    /// cleared, in the order they were added (empty when off).
+    pub fn recorded(&self) -> &[Energy] {
+        self.record.as_deref().unwrap_or(&[])
+    }
+
+    /// Empties the record, keeping recording on if it was.
+    pub fn clear_recorded(&mut self) {
+        if let Some(record) = &mut self.record {
+            record.clear();
+        }
+    }
+}
+
+impl PartialEq for EnergyAccumulator {
+    fn eq(&self, other: &Self) -> bool {
+        self.total == other.total
+    }
+}
+
 /// Electrical power, stored in milliwatts.
 ///
 /// # Examples

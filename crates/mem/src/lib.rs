@@ -35,7 +35,7 @@ pub mod ledger;
 pub mod tech;
 
 pub use bank::{Access, AccessKind, BankError, GateParams, GateState, MemoryBank, ResolvedAccess};
-pub use energy::{Energy, Power};
+pub use energy::{Energy, EnergyAccumulator, Power};
 pub use ledger::EnergyLedger;
 pub use tech::{
     hp_mram, hp_pe, hp_sram, lp_mram, lp_pe, lp_sram, pe_for, tech_at_vdd, tech_for, AccessTiming,

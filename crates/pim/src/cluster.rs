@@ -12,8 +12,8 @@
 
 use crate::module::{ModuleConfig, ModuleError, PimModule};
 use hhpim_isa::MemSelect;
-use hhpim_mem::{ClusterClass, Energy, Power};
-use hhpim_sim::{BusyResource, Clock, Frequency, SimDuration, SimTime};
+use hhpim_mem::{ClusterClass, Energy, EnergyAccumulator, Power};
+use hhpim_sim::{BusyResource, Clock, Frequency, Scalar, SimDuration, SimTime};
 
 /// Controller timing/power parameters.
 ///
@@ -67,7 +67,7 @@ pub struct TransferChunk {
 }
 
 /// A cluster: `n` identical PIM modules plus their controller.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cluster {
     class: ClusterClass,
     modules: Vec<PimModule>,
@@ -75,8 +75,8 @@ pub struct Cluster {
     cfg: ControllerConfig,
     /// `cfg.clock.period()`, fixed at construction.
     period: SimDuration,
-    ctrl_dynamic: Energy,
-    ctrl_static: Energy,
+    ctrl_dynamic: EnergyAccumulator,
+    ctrl_static: EnergyAccumulator,
     last_accrual: SimTime,
     instructions_issued: u64,
 }
@@ -100,8 +100,8 @@ impl Cluster {
             issue: BusyResource::new(),
             period: cfg.clock.period(),
             cfg,
-            ctrl_dynamic: Energy::ZERO,
-            ctrl_static: Energy::ZERO,
+            ctrl_dynamic: EnergyAccumulator::default(),
+            ctrl_static: EnergyAccumulator::default(),
             last_accrual: SimTime::ZERO,
             instructions_issued: 0,
         }
@@ -160,13 +160,13 @@ impl Cluster {
     /// Controller dynamic energy so far.
     #[inline]
     pub fn controller_dynamic_energy(&self) -> Energy {
-        self.ctrl_dynamic
+        self.ctrl_dynamic.get()
     }
 
     /// Controller static energy accrued so far.
     #[inline]
     pub fn controller_static_energy(&self) -> Energy {
-        self.ctrl_static
+        self.ctrl_static.get()
     }
 
     /// Instant when the issue pipeline alone is free — one slot of a
@@ -190,7 +190,7 @@ impl Cluster {
     pub fn advance_to(&mut self, now: SimTime) {
         if now > self.last_accrual {
             let dt = now.saturating_since(self.last_accrual);
-            self.ctrl_static += self.cfg.static_power * dt;
+            self.ctrl_static.add(self.cfg.static_power * dt);
             self.last_accrual = now;
         }
         for m in &mut self.modules {
@@ -205,7 +205,7 @@ impl Cluster {
         let cycles =
             self.cfg.fetch_decode_cycles + self.cfg.dispatch_cycles_per_module * selected as u64;
         let dur = self.period * cycles;
-        self.ctrl_dynamic += self.cfg.dynamic_per_inst;
+        self.ctrl_dynamic.add(self.cfg.dynamic_per_inst);
         self.instructions_issued += 1;
         self.issue.acquire(at, dur)
     }
@@ -313,8 +313,28 @@ impl Cluster {
             .iter()
             .map(PimModule::total_energy)
             .sum::<Energy>()
-            + self.ctrl_dynamic
-            + self.ctrl_static
+            + self.controller_dynamic_energy()
+            + self.controller_static_energy()
+    }
+
+    /// Walks the cluster's timing state and counters: every module in
+    /// order, then the issue pipeline, the controller's static-accrual
+    /// mark (controllers always accrue) and its issued-instruction
+    /// counter.
+    #[inline]
+    pub fn visit_scalars(&mut self, f: &mut impl FnMut(Scalar<'_>)) {
+        for m in &mut self.modules {
+            m.visit_scalars(f);
+        }
+        self.issue.visit_scalars(f);
+        f(Scalar::Accrual(&mut self.last_accrual, true));
+        f(Scalar::Count(&mut self.instructions_issued));
+    }
+
+    /// The controller's energy accumulators: dynamic, static.
+    #[inline]
+    pub fn controller_accumulators_mut(&mut self) -> [&mut EnergyAccumulator; 2] {
+        [&mut self.ctrl_dynamic, &mut self.ctrl_static]
     }
 }
 

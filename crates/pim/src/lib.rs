@@ -42,6 +42,8 @@ pub mod module;
 pub mod pe;
 
 pub use cluster::{Cluster, ControllerConfig, TransferChunk};
-pub use machine::{EnergyCat, MachineConfig, MachineError, PimMachine, RunReport};
+pub use machine::{
+    EnergyCat, EnergyView, MachineConfig, MachineError, PimMachine, RunReport, ENERGY_SLOTS,
+};
 pub use module::{ModuleConfig, ModuleError, PimModule};
 pub use pe::ProcessingElement;

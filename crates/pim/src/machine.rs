@@ -11,8 +11,8 @@ use crate::module::{ModuleConfig, ModuleError, PimModule};
 use hhpim_isa::{
     DecodeError, InstructionQueue, MemSelect, ModuleMask, PimInstruction, QueueFullError,
 };
-use hhpim_mem::{ClusterClass, Energy, EnergyLedger, MemKind};
-use hhpim_sim::SimTime;
+use hhpim_mem::{ClusterClass, Energy, EnergyAccumulator, EnergyLedger, MemKind};
+use hhpim_sim::{Scalar, SimTime};
 use std::fmt;
 
 /// Energy-report category for the machine ledger.
@@ -145,6 +145,40 @@ impl MachineProbe {
     }
 }
 
+/// Lanes per row of an [`EnergyView`]: one per module (the ISA
+/// addresses at most 8).
+const LANES: usize = 8;
+/// Per-module accumulator rows of an [`EnergyView`] (the controller
+/// rows follow).
+const MODULE_ROWS: usize = 8;
+/// Per-cluster sums of [`PimMachine::fold_sums`]: the six memory
+/// categories, PE dynamic, PE static and the controller.
+const CLUSTER_SUMS: usize = MODULE_ROWS + 1;
+
+/// Number of slots in an [`EnergyView`].
+pub const ENERGY_SLOTS: usize = (MODULE_ROWS + 2) * LANES;
+
+/// A flat copy of every energy accumulator of a [`PimMachine`], the
+/// view [`PimMachine::probe`] folds its total from.
+///
+/// The view has ten rows of eight lanes; slot `8k + i` is accumulator
+/// `k` of lane `i`. Rows `0..8` hold, for every global module `i`: SRAM
+/// dynamic, MRAM dynamic, SRAM static, MRAM static, SRAM wake, MRAM
+/// wake, PE dynamic and PE static energy (MRAM rows stay zero on
+/// SRAM-only modules). Rows 8 and 9 hold the controllers' dynamic and
+/// static energy, lane `i` being cluster class `i`. A row keeps one
+/// accumulator of a cluster's modules contiguous, so memoized replay
+/// can apply one addend to all of them as a slice. It applies recorded
+/// addends to a view, folds it with [`PimMachine::fold_total`] where the
+/// machine would probe, and writes it back with
+/// [`PimMachine::set_energy_view`].
+///
+/// Slots hold picojoules as plain `f64` — exactly the value inside each
+/// [`Energy`], whose arithmetic is plain `f64` arithmetic — so folding
+/// and replaying a view costs no conversion per addition.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EnergyView(pub [f64; ENERGY_SLOTS]);
+
 /// Outcome of [`PimMachine::run_program`].
 #[derive(Debug, Clone)]
 pub struct RunReport {
@@ -186,7 +220,7 @@ impl RunReport {
 /// assert_eq!(machine.module(0).pe().accumulator(), 50);
 /// assert!(report.total_energy().as_pj() > 0.0);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PimMachine {
     config: MachineConfig,
     hp: Option<Cluster>,
@@ -749,10 +783,10 @@ impl PimMachine {
     /// Snapshots total energy and retired MACs without allocating.
     ///
     /// Performs [`PimMachine::report`]'s static-energy accrual, then
-    /// accumulates each ledger category in the same per-module order
-    /// and folds the categories in the ledger's key order — so `total`
-    /// is bit-identical to `report().total_energy()` while the hot
-    /// replay loop pays neither `BTreeMap` nor `Vec`.
+    /// folds the [`EnergyView`]: each ledger category summed over its
+    /// modules in order, the categories in the ledger's key order — so
+    /// `total` is bit-identical to `report().total_energy()` while the
+    /// hot replay loop pays neither `BTreeMap` nor `Vec`.
     pub fn probe(&mut self) -> MachineProbe {
         let now = self.now;
         if let Some(c) = self.hp.as_mut() {
@@ -761,73 +795,177 @@ impl PimMachine {
         if let Some(c) = self.lp.as_mut() {
             c.advance_to(now);
         }
-        // Accumulators indexed [class as usize][kind as usize]: the
-        // declaration order, which is also the ledger's derived key
-        // order (HP < LP, SRAM < MRAM).
-        let mut mem_dyn = [[Energy::ZERO; 2]; 2];
-        let mut mem_stat = [[Energy::ZERO; 2]; 2];
-        let mut mem_wake = [[Energy::ZERO; 2]; 2];
-        let mut pe_dyn = [Energy::ZERO; 2];
-        let mut pe_stat = [Energy::ZERO; 2];
-        let mut ctrl = [Energy::ZERO; 2];
-        let mut present = [false; 2];
-        let mut mram = [false; 2];
-        let mut macs = 0u64;
-        for cluster in [self.hp.as_ref(), self.lp.as_ref()].into_iter().flatten() {
-            let ci = cluster.class() as usize;
-            present[ci] = true;
-            for m in cluster.modules() {
-                if m.has_mram() {
-                    let b = m.bank(MemSelect::Mram);
-                    mem_dyn[ci][1] += b.dynamic_energy();
-                    mem_stat[ci][1] += b.static_energy();
-                    mem_wake[ci][1] += b.wake_energy();
-                    mram[ci] = true;
+        let sums = self.fold_sums(&self.energy_view());
+        let mut mem_dynamic = [[None; 2]; 2];
+        for (ci, present) in self.clusters_present().into_iter().enumerate() {
+            if present {
+                mem_dynamic[ci][0] = Some(Energy::from_pj(sums[ci][0]));
+                if self.has_mram() {
+                    mem_dynamic[ci][1] = Some(Energy::from_pj(sums[ci][1]));
                 }
-                let s = m.bank(MemSelect::Sram);
-                mem_dyn[ci][0] += s.dynamic_energy();
-                mem_stat[ci][0] += s.static_energy();
-                mem_wake[ci][0] += s.wake_energy();
-                pe_dyn[ci] += m.pe().dynamic_energy();
-                pe_stat[ci] += m.pe().static_energy();
+            }
+        }
+        let mut macs = 0;
+        for cluster in [self.hp.as_ref(), self.lp.as_ref()].into_iter().flatten() {
+            for m in cluster.modules() {
                 macs += m.pe().macs_retired();
             }
-            ctrl[ci] += cluster.controller_dynamic_energy() + cluster.controller_static_energy();
         }
-        // Fold categories exactly as `EnergyLedger::total` walks its
-        // keys, skipping the ones `report()` never inserts.
-        let mut total = Energy::ZERO;
-        for cat in [&mem_dyn, &mem_stat, &mem_wake] {
+        MachineProbe {
+            total: Energy::from_pj(self.total_of(&sums)),
+            macs,
+            mem_dynamic,
+        }
+    }
+
+    /// The probe total of `view`, bit-identical to
+    /// `report().total_energy()` on a machine whose accumulators hold
+    /// `view` and have accrued statics up to `now`.
+    #[inline]
+    pub fn fold_total(&self, view: &EnergyView) -> Energy {
+        Energy::from_pj(self.total_of(&self.fold_sums(view)))
+    }
+
+    /// Whether the HP and LP clusters exist, indexed by class.
+    fn clusters_present(&self) -> [bool; 2] {
+        [self.config.hp_modules > 0, self.config.lp_modules > 0]
+    }
+
+    fn has_mram(&self) -> bool {
+        self.config.module.mram_bytes > 0
+    }
+
+    /// Per cluster class, every ledger category summed over the
+    /// cluster's modules in module order (the controller's dynamic
+    /// plus static energy as one term), as `report()` accumulates them.
+    #[inline]
+    fn fold_sums(&self, view: &EnergyView) -> [[f64; CLUSTER_SUMS]; 2] {
+        let hp = self.config.hp_modules;
+        let lanes = [0..hp, hp..hp + self.config.lp_modules];
+        let mut sums = [[0.0; CLUSTER_SUMS]; 2];
+        for (ci, lanes) in lanes.into_iter().enumerate() {
+            // Modules outer, categories inner: eight independent sums,
+            // each still taken over the cluster's modules in order.
+            for lane in lanes {
+                for row in 0..MODULE_ROWS {
+                    sums[ci][row] += view.0[row * LANES + lane];
+                }
+            }
+            let ctrl = MODULE_ROWS * LANES + ci;
+            sums[ci][MODULE_ROWS] += view.0[ctrl] + view.0[ctrl + LANES];
+        }
+        sums
+    }
+
+    /// Folds per-cluster category sums into the total exactly as
+    /// `EnergyLedger::total` walks its keys (HP before LP, SRAM before
+    /// MRAM), skipping the categories `report()` never inserts.
+    #[inline]
+    fn total_of(&self, sums: &[[f64; CLUSTER_SUMS]; 2]) -> f64 {
+        let present = self.clusters_present();
+        let mram = self.has_mram();
+        let mut total = 0.0;
+        for cat in [0, 2, 4] {
             for ci in 0..2 {
                 if present[ci] {
-                    total += cat[ci][0];
-                    if mram[ci] {
-                        total += cat[ci][1];
+                    total += sums[ci][cat];
+                    if mram {
+                        total += sums[ci][cat + 1];
                     }
                 }
             }
         }
-        for cat in [&pe_dyn, &pe_stat, &ctrl] {
+        for cat in MODULE_ROWS - 2..CLUSTER_SUMS {
             for ci in 0..2 {
                 if present[ci] {
-                    total += cat[ci];
+                    total += sums[ci][cat];
                 }
             }
         }
-        let mut mem_dynamic = [[None; 2]; 2];
-        for ci in 0..2 {
-            if present[ci] {
-                mem_dynamic[ci][0] = Some(mem_dyn[ci][0]);
-                if mram[ci] {
-                    mem_dynamic[ci][1] = Some(mem_dyn[ci][1]);
+        total
+    }
+
+    /// Calls `f` with every energy accumulator and its [`EnergyView`]
+    /// slot.
+    #[inline]
+    fn for_each_accumulator(&mut self, mut f: impl FnMut(usize, &mut EnergyAccumulator)) {
+        let hp = self.config.hp_modules;
+        for (cluster, offset) in [(self.hp.as_mut(), 0), (self.lp.as_mut(), hp)] {
+            let Some(cluster) = cluster else {
+                continue;
+            };
+            let ctrl = MODULE_ROWS * LANES + cluster.class() as usize;
+            for (local, m) in cluster.modules_mut().iter_mut().enumerate() {
+                for (row, acc) in m.accumulators_mut().into_iter().enumerate() {
+                    if let Some(acc) = acc {
+                        f(row * LANES + offset + local, acc);
+                    }
                 }
             }
+            let [dynamic, stat] = cluster.controller_accumulators_mut();
+            f(ctrl, dynamic);
+            f(ctrl + LANES, stat);
         }
-        MachineProbe {
-            total,
-            macs,
-            mem_dynamic,
+    }
+
+    /// Copies every energy accumulator into a view: the totals
+    /// [`Self::set_energy_view`] writes, slot for slot.
+    #[inline]
+    pub fn energy_view(&self) -> EnergyView {
+        let mut view = EnergyView([0.0; ENERGY_SLOTS]);
+        let hp = self.config.hp_modules;
+        for (cluster, offset) in [(self.hp.as_ref(), 0), (self.lp.as_ref(), hp)] {
+            let Some(cluster) = cluster else {
+                continue;
+            };
+            let ctrl = MODULE_ROWS * LANES + cluster.class() as usize;
+            for (local, m) in cluster.modules().enumerate() {
+                let energies = m.energy_row();
+                for row in 0..MODULE_ROWS {
+                    view.0[row * LANES + offset + local] = energies[row].as_pj();
+                }
+            }
+            view.0[ctrl] = cluster.controller_dynamic_energy().as_pj();
+            view.0[ctrl + LANES] = cluster.controller_static_energy().as_pj();
         }
+        view
+    }
+
+    /// Overwrites every energy accumulator from a view.
+    #[inline]
+    pub fn set_energy_view(&mut self, view: &EnergyView) {
+        self.for_each_accumulator(|slot, acc| acc.set(Energy::from_pj(view.0[slot])));
+    }
+
+    /// Switches addend recording on or off on every energy accumulator
+    /// (see [`EnergyAccumulator`]).
+    pub fn set_energy_recording(&mut self, on: bool) {
+        self.for_each_accumulator(|_, acc| acc.set_recording(on));
+    }
+
+    /// Hands every accumulator's addends recorded since the last drain
+    /// to `f` with its [`EnergyView`] slot (slots without addends are
+    /// skipped), then empties the records.
+    pub fn drain_energy_record(&mut self, mut f: impl FnMut(usize, &[Energy])) {
+        self.for_each_accumulator(|slot, acc| {
+            if !acc.recorded().is_empty() {
+                f(slot, acc.recorded());
+                acc.clear_recorded();
+            }
+        });
+    }
+
+    /// Walks the machine's timing state and counters: the HP cluster,
+    /// the LP cluster (see [`Cluster::visit_scalars`]), then the clock
+    /// (as a [`Scalar::Free`]) and the executed-instruction counter.
+    /// Energy lives in the [`EnergyView`]; memory contents, occupancy,
+    /// gating, accumulators and the instruction queue are not walked.
+    pub fn visit_scalars(&mut self, f: &mut impl FnMut(Scalar<'_>)) {
+        for c in [self.hp.as_mut(), self.lp.as_mut()].into_iter().flatten() {
+            c.visit_scalars(f);
+        }
+        f(Scalar::Free(&mut self.now));
+        f(Scalar::Count(&mut self.instructions));
     }
 }
 
@@ -1148,6 +1286,61 @@ mod tests {
                 .unwrap();
             m.execute(PimInstruction::Barrier).unwrap();
             assert_probe_matches_report(&mut m, "after a module-to-module move");
+        }
+    }
+
+    /// `energy_view` (read through module energy rows) and
+    /// `set_energy_view` (written through the accumulator walk) agree
+    /// on every slot: a view written back reads back unchanged on the
+    /// slots the machine has, and zero on the rest; writing back a
+    /// machine's own view changes nothing.
+    #[test]
+    fn energy_view_round_trips_through_every_accumulator() {
+        let shapes = [
+            MachineConfig::default(),
+            MachineConfig {
+                hp_modules: 8,
+                lp_modules: 0,
+                module: ModuleConfig {
+                    mram_bytes: 0,
+                    sram_bytes: 128 * 1024,
+                    act_base: 96 * 1024,
+                },
+                ..MachineConfig::default()
+            },
+            MachineConfig {
+                hp_modules: 2,
+                lp_modules: 5,
+                ..MachineConfig::default()
+            },
+        ];
+        for cfg in shapes {
+            let mut m = PimMachine::new(cfg);
+            let last = (m.module_count() - 1) as u8;
+            m.mac_stream(ModuleMask::range(0, last), MemSelect::Sram, 0, 300)
+                .unwrap();
+            m.execute(PimInstruction::Barrier).unwrap();
+            m.probe();
+            let before = m.clone();
+            let own = m.energy_view();
+            m.set_energy_view(&own);
+            assert!(m == before, "writing back a machine's own view changed it");
+
+            let distinct = EnergyView(std::array::from_fn(|i| i as f64 + 1.0));
+            m.set_energy_view(&distinct);
+            let back = m.energy_view();
+            let modules = cfg.hp_modules + cfg.lp_modules;
+            let rows = if cfg.module.mram_bytes > 0 { 8 } else { 5 };
+            let mut mapped = 0;
+            for (i, (&w, &r)) in distinct.0.iter().zip(&back.0).enumerate() {
+                if r == 0.0 {
+                    continue;
+                }
+                assert_eq!(w, r, "slot {i} read back a different accumulator");
+                mapped += 1;
+            }
+            let clusters = usize::from(cfg.hp_modules > 0) + usize::from(cfg.lp_modules > 0);
+            assert_eq!(mapped, modules * rows + 2 * clusters, "{cfg:?}");
         }
     }
 

@@ -15,10 +15,10 @@
 use crate::pe::ProcessingElement;
 use hhpim_isa::MemSelect;
 use hhpim_mem::{
-    pe_for, tech_for, AccessKind, BankError, ClusterClass, Energy, MemKind, MemoryBank,
-    ResolvedAccess,
+    pe_for, tech_for, AccessKind, BankError, ClusterClass, Energy, EnergyAccumulator, MemKind,
+    MemoryBank, ResolvedAccess,
 };
-use hhpim_sim::SimTime;
+use hhpim_sim::{Scalar, SimTime};
 use std::fmt;
 
 /// Errors raised by module operations.
@@ -82,7 +82,7 @@ impl Default for ModuleConfig {
 }
 
 /// A single PIM module (see module-level docs).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PimModule {
     class: ClusterClass,
     mram: Option<MemoryBank>,
@@ -250,6 +250,80 @@ impl PimModule {
     pub fn read_back(&self, mem: MemSelect, addr: usize, len: usize) -> Result<&[u8], ModuleError> {
         self.check_range(mem, addr, len)?;
         Ok(&self.data(mem)[addr..addr + len])
+    }
+
+    /// The PE accumulator and the activation pointer — the head state a
+    /// bit-exact MAC burst leaves behind.
+    pub fn acc_state(&self) -> (i32, usize) {
+        (self.pe.accumulator(), self.act_ptr)
+    }
+
+    /// Overwrites the PE accumulator and the activation pointer
+    /// (restoring an [`Self::acc_state`] snapshot).
+    pub fn set_acc_state(&mut self, (acc, act_ptr): (i32, usize)) {
+        self.pe.set_accumulator(acc);
+        self.act_ptr = act_ptr;
+    }
+
+    /// Walks the module's timing state and counters: the MRAM bank (if
+    /// any), the SRAM bank, the PE, then the module's own free instant.
+    #[inline]
+    pub fn visit_scalars(&mut self, f: &mut impl FnMut(Scalar<'_>)) {
+        if let Some(m) = self.mram.as_mut() {
+            m.visit_scalars(f);
+        }
+        self.sram.visit_scalars(f);
+        self.pe.visit_scalars(f);
+        f(Scalar::Free(&mut self.free_at));
+    }
+
+    /// The module's energy accumulators in
+    /// [`EnergyView`](crate::EnergyView) row order: SRAM dynamic, MRAM
+    /// dynamic, SRAM static, MRAM static, SRAM wake, MRAM wake, PE
+    /// dynamic, PE static (`None` for the MRAM rows of an SRAM-only
+    /// module).
+    #[inline]
+    pub fn accumulators_mut(&mut self) -> [Option<&mut EnergyAccumulator>; 8] {
+        let [sram_dyn, sram_static, sram_wake] = self.sram.accumulators_mut();
+        let [pe_dyn, pe_static] = self.pe.accumulators_mut();
+        let [mram_dyn, mram_static, mram_wake] = match self.mram.as_mut() {
+            Some(bank) => bank.accumulators_mut().map(Some),
+            None => [None, None, None],
+        };
+        [
+            Some(sram_dyn),
+            mram_dyn,
+            Some(sram_static),
+            mram_static,
+            Some(sram_wake),
+            mram_wake,
+            Some(pe_dyn),
+            Some(pe_static),
+        ]
+    }
+
+    /// The totals of [`Self::accumulators_mut`], in the same order
+    /// (zero for an absent MRAM bank).
+    #[inline]
+    pub fn energy_row(&self) -> [Energy; 8] {
+        let (mram_dyn, mram_static, mram_wake) = match &self.mram {
+            Some(bank) => (
+                bank.dynamic_energy(),
+                bank.static_energy(),
+                bank.wake_energy(),
+            ),
+            None => (Energy::ZERO, Energy::ZERO, Energy::ZERO),
+        };
+        [
+            self.sram.dynamic_energy(),
+            mram_dyn,
+            self.sram.static_energy(),
+            mram_static,
+            self.sram.wake_energy(),
+            mram_wake,
+            self.pe.dynamic_energy(),
+            self.pe.static_energy(),
+        ]
     }
 
     /// Clears the PE accumulator and rewinds the activation pointer to

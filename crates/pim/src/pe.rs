@@ -7,8 +7,8 @@
 //! correctness checks are possible) and *temporally/energetically*
 //! (latency and power from Tables III and V).
 
-use hhpim_mem::{Energy, PeTech, Power};
-use hhpim_sim::{BusyResource, SimTime};
+use hhpim_mem::{Energy, EnergyAccumulator, PeTech, Power};
+use hhpim_sim::{BusyResource, Scalar, SimTime};
 
 /// An INT8 MAC processing element with a 32-bit accumulator.
 ///
@@ -23,7 +23,7 @@ use hhpim_sim::{BusyResource, SimTime};
 /// assert_eq!(pe.accumulator(), 2 * 3 + (-4) * 5);
 /// assert_eq!(done.as_ps(), 2 * 5_520); // two MACs at 5.52 ns each
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProcessingElement {
     tech: PeTech,
     /// `tech.mac_energy()`, fixed at construction.
@@ -31,8 +31,8 @@ pub struct ProcessingElement {
     acc: i32,
     unit: BusyResource,
     macs: u64,
-    dynamic_energy: Energy,
-    static_energy: Energy,
+    dynamic_energy: EnergyAccumulator,
+    static_energy: EnergyAccumulator,
     last_accrual: SimTime,
     powered: bool,
 }
@@ -46,8 +46,8 @@ impl ProcessingElement {
             acc: 0,
             unit: BusyResource::new(),
             macs: 0,
-            dynamic_energy: Energy::ZERO,
-            static_energy: Energy::ZERO,
+            dynamic_energy: EnergyAccumulator::default(),
+            static_energy: EnergyAccumulator::default(),
             last_accrual: SimTime::ZERO,
             powered: true,
         }
@@ -72,13 +72,13 @@ impl ProcessingElement {
     /// Dynamic energy consumed by MACs so far.
     #[inline]
     pub fn dynamic_energy(&self) -> Energy {
-        self.dynamic_energy
+        self.dynamic_energy.get()
     }
 
     /// Static energy accrued up to the last [`Self::advance_to`].
     #[inline]
     pub fn static_energy(&self) -> Energy {
-        self.static_energy
+        self.static_energy.get()
     }
 
     /// Whether the PE is powered (accrues leakage).
@@ -106,7 +106,7 @@ impl ProcessingElement {
         }
         if self.powered {
             let dt = now.saturating_since(self.last_accrual);
-            self.static_energy += self.tech.static_power * dt;
+            self.static_energy.add(self.tech.static_power * dt);
         }
         self.last_accrual = now;
     }
@@ -123,6 +123,27 @@ impl ProcessingElement {
     /// Clears the accumulator (zero-latency architectural operation).
     pub fn clear(&mut self) {
         self.acc = 0;
+    }
+
+    /// Overwrites the accumulator (restoring a snapshot).
+    pub(crate) fn set_accumulator(&mut self, acc: i32) {
+        self.acc = acc;
+    }
+
+    /// Walks the PE's timing state and counters: the MAC unit's free
+    /// instant, busy total and served count, the static-accrual mark
+    /// (accruing while powered), then the retired-MAC counter.
+    #[inline]
+    pub fn visit_scalars(&mut self, f: &mut impl FnMut(Scalar<'_>)) {
+        self.unit.visit_scalars(f);
+        f(Scalar::Accrual(&mut self.last_accrual, self.powered));
+        f(Scalar::Count(&mut self.macs));
+    }
+
+    /// The PE's energy accumulators: dynamic, static.
+    #[inline]
+    pub fn accumulators_mut(&mut self) -> [&mut EnergyAccumulator; 2] {
+        [&mut self.dynamic_energy, &mut self.static_energy]
     }
 
     /// Executes a burst of `(weight, activation)` MACs starting no
@@ -142,7 +163,7 @@ impl ProcessingElement {
         }
         let n = operands.len() as u64;
         self.macs += n;
-        self.dynamic_energy += self.mac_energy * n;
+        self.dynamic_energy.add(self.mac_energy * n);
         self.unit.acquire(at, self.tech.mac_latency * n)
     }
 
@@ -164,7 +185,7 @@ impl ProcessingElement {
         self.advance_to(at);
         self.acc = self.acc.wrapping_add(delta);
         self.macs += count;
-        self.dynamic_energy += self.mac_energy * count;
+        self.dynamic_energy.add(self.mac_energy * count);
         self.unit.acquire(at, self.tech.mac_latency * count)
     }
 
@@ -183,7 +204,7 @@ impl ProcessingElement {
         assert!(self.powered, "MAC issued to a powered-off PE");
         self.advance_to(at);
         self.macs += count;
-        self.dynamic_energy += self.mac_energy * count;
+        self.dynamic_energy.add(self.mac_energy * count);
         self.unit.acquire(at, self.tech.mac_latency * count)
     }
 }

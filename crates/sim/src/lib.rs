@@ -19,6 +19,8 @@
 //! * [`TimeQueue`] — indexed, monotone per-slot completion instants
 //!   with an `O(1)` running maximum for flat timing-graph replay
 //!   ([`timeq`]).
+//! * [`Scalar`] — one field of a component's mutable state, for the
+//!   snapshot/restore walks memoized replay uses ([`state`]).
 //! * [`TraceBuffer`] — bounded tracing, [`Summary`] — streaming stats.
 //!
 //! # Examples
@@ -42,6 +44,7 @@
 pub mod engine;
 pub mod event;
 pub mod resource;
+pub mod state;
 pub mod stats;
 pub mod time;
 pub mod timeq;
@@ -50,6 +53,7 @@ pub mod trace;
 pub use engine::{Context, Control, RunOutcome, Simulation};
 pub use event::{EventKey, EventQueue, ScheduleInPastError};
 pub use resource::{BusyResource, ResourcePool};
+pub use state::Scalar;
 pub use stats::Summary;
 pub use time::{Clock, Frequency, SimDuration, SimTime};
 pub use timeq::TimeQueue;

@@ -6,6 +6,7 @@
 //! captures that, and [`ResourcePool`] models `n` interchangeable copies
 //! (e.g. the four PIM modules of a cluster).
 
+use crate::state::Scalar;
 use crate::time::{SimDuration, SimTime};
 
 /// A single-server resource with earliest-availability semantics.
@@ -70,6 +71,15 @@ impl BusyResource {
     /// Resets availability and statistics to time zero.
     pub fn reset(&mut self) {
         *self = Self::default();
+    }
+
+    /// Walks the resource's state: its free instant, busy total and
+    /// served count, in that order.
+    #[inline]
+    pub fn visit_scalars(&mut self, f: &mut impl FnMut(Scalar<'_>)) {
+        f(Scalar::Free(&mut self.free_at));
+        f(Scalar::Busy(&mut self.busy_total));
+        f(Scalar::Count(&mut self.served));
     }
 }
 

@@ -15,6 +15,7 @@
 //! never needs recomputation — `max()` is `O(1)` and the whole queue is
 //! allocation-free after construction.
 
+use crate::state::Scalar;
 use crate::time::SimTime;
 
 /// A fixed-slot time queue: per-slot monotone completion instants with
@@ -111,6 +112,16 @@ impl TimeQueue {
     pub fn reset(&mut self, t: SimTime) {
         self.slots.fill(t);
         self.max = t;
+    }
+
+    /// Walks every slot in index order as a [`Scalar::Free`], then
+    /// restores the cached maximum by rescan (a walk may overwrite
+    /// slots with any instants, earlier ones included). `O(n)`.
+    pub fn visit_scalars(&mut self, f: &mut impl FnMut(Scalar<'_>)) {
+        for slot in &mut self.slots {
+            f(Scalar::Free(slot));
+        }
+        self.max = self.slots.iter().copied().max().unwrap_or(SimTime::ZERO);
     }
 }
 
