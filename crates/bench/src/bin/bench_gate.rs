@@ -226,6 +226,40 @@ fn measure(samples: usize) -> GateFile {
         }),
     );
 
+    // cycle_fresh_backend_warm_store: a fresh HH-PIM MobileNetV2 cycle
+    // backend built over a warm store and run through a 24-slice stream
+    // alternating full and single-task queues — what every tenant of a
+    // fresh `Server` pays. The store's tape tier was filled by an
+    // earlier backend of the same machine, so no task may record a
+    // tape: the entry prices construction plus tape-served replay.
+    let fresh_store = PlacementStore::shared();
+    let fresh_stream = || {
+        let mut backend = SessionBuilder::new()
+            .architecture(Architecture::HhPim)
+            .model(TinyMlModel::MobileNetV2)
+            .store(std::sync::Arc::clone(&fresh_store))
+            .build_cycle()
+            .unwrap();
+        let full = backend.runtime_config().max_tasks;
+        backend.begin_stream().unwrap();
+        for n_tasks in [full, 1].repeat(12) {
+            backend.step_slice(n_tasks).unwrap();
+        }
+        backend.finish_stream().unwrap();
+        backend.timegraph().memo_stats().misses
+    };
+    fresh_stream();
+    file.benches.insert(
+        "cycle_fresh_backend_warm_store".into(),
+        bench(samples, || {
+            assert_eq!(
+                fresh_stream(),
+                0,
+                "a fresh backend over a warm store recorded tapes"
+            );
+        }),
+    );
+
     // session_build_and_run: the facade's hot path — builder →
     // prepared policy (LUT DP solves) → analytic backend → one
     // 12-slice run, end to end.
@@ -1033,7 +1067,7 @@ mod tests {
     fn measure_produces_complete_file() {
         let f = measure(1);
         assert!(f.calibration_ns > 0.0);
-        assert_eq!(f.benches.len(), 22);
+        assert_eq!(f.benches.len(), 23);
         for key in [
             "session_build_and_run",
             "lut_build_cold",
@@ -1053,6 +1087,7 @@ mod tests {
             "cycle_trace_6_slices",
             "cycle_trace_6_slices_object",
             "cycle_replay_hot",
+            "cycle_fresh_backend_warm_store",
         ] {
             assert!(f.benches.contains_key(key), "missing bench `{key}`");
         }

@@ -59,6 +59,7 @@ use crate::engine::{AnalyticRun, CycleRun, LayerAcc, ReplacementDecision, SliceO
 use crate::policy::{FixedHome, PlacementPolicy};
 use crate::runtime::{Processor, RuntimeConfig};
 use crate::space::{movement_legs, MovementLeg, Placement, StorageSpace};
+use crate::store::PlacementStore;
 use crate::timegraph::TimeGraph;
 use hhpim_isa::{MemSelect, ModuleMask, PimInstruction};
 use hhpim_mem::{ClusterClass, Energy, EnergyLedger, MemKind};
@@ -571,6 +572,10 @@ pub struct CycleBackend {
     run: Option<CycleRun>,
     mode: ExecMode,
     graph: TimeGraph,
+    /// The graph's program index for a placement (the last one
+    /// replayed), so a slice on an unchanged placement skips the
+    /// graph's placement map.
+    graph_program: Option<(Placement, usize)>,
     /// Test seam: run on the machine (with the given seed) right before
     /// the next slice's tasks, to start them from unusual states.
     #[cfg(test)]
@@ -618,7 +623,7 @@ impl CycleBackend {
     /// machine-executable layer.
     pub fn new(arch: Architecture, model: TinyMlModel) -> Result<Self, BackendError> {
         let processor = Processor::new(arch, model)?;
-        Self::build(processor, model, None)
+        Self::build(processor, model, None, &PlacementStore::global())
     }
 
     /// Builds the backend with an explicit home for the bit-exact head
@@ -689,12 +694,15 @@ impl CycleBackend {
             OptimizerConfig::default(),
             policy,
         )?;
-        Self::build(processor, model, None)
+        Self::build(processor, model, None, &PlacementStore::global())
     }
 
     /// Builds the backend around an already-constructed analytic twin
     /// (the session builder's entry point: the processor carries the
-    /// calibration, optimizer settings and placement policy).
+    /// calibration, optimizer settings and placement policy). Task
+    /// tapes come from the tier `store` keeps for this backend's
+    /// machine identity, so every backend built over one store shares
+    /// the tapes its machine's tasks recorded.
     ///
     /// # Errors
     ///
@@ -703,14 +711,16 @@ impl CycleBackend {
         processor: Processor,
         model: TinyMlModel,
         head_override: Option<WeightHome>,
+        store: &PlacementStore,
     ) -> Result<Self, BackendError> {
-        Self::build(processor, model, head_override)
+        Self::build(processor, model, head_override, store)
     }
 
     fn build(
         processor: Processor,
         model: TinyMlModel,
         head_override: Option<WeightHome>,
+        store: &PlacementStore,
     ) -> Result<Self, BackendError> {
         let arch = processor.arch().arch;
         let params = *processor.cost().params();
@@ -749,6 +759,7 @@ impl CycleBackend {
             })
             .unwrap_or_default();
         let initial = processor.boot_placement();
+        let tier = store.tape_tier(processor.cost(), model, head_override);
 
         let mut backend = CycleBackend {
             arch,
@@ -763,7 +774,8 @@ impl CycleBackend {
             time_scale: params.time_scale,
             run: None,
             mode: ExecMode::default(),
-            graph: TimeGraph::new(),
+            graph: TimeGraph::new(tier),
+            graph_program: None,
             #[cfg(test)]
             before_tasks: None,
         };
@@ -797,24 +809,35 @@ impl CycleBackend {
     /// realized on the machine, returning the cached program count.
     /// Lets benchmarks measure graph construction in isolation.
     pub fn prepare_graph(&mut self) -> usize {
-        let mut graph = std::mem::take(&mut self.graph);
-        graph.ensure_program(
-            &self.machine,
-            self.processor.arch(),
-            &self.program,
-            &self.placement,
-            &self.head_modules,
-            self.head_home,
-            &self.input,
-        );
-        let count = graph.program_count();
-        self.graph = graph;
-        count
+        self.graph_program_index();
+        self.graph.program_count()
     }
 
     /// Drops every cached timing-graph program (for benchmarks).
     pub fn clear_graph(&mut self) {
         self.graph.clear();
+        self.graph_program = None;
+    }
+
+    /// The graph's program index for the current placement, lowering
+    /// the program first if the graph has not seen the placement.
+    fn graph_program_index(&mut self) -> usize {
+        match self.graph_program {
+            Some((placement, idx)) if placement == self.placement => idx,
+            _ => {
+                let idx = self.graph.ensure_program(
+                    &self.machine,
+                    self.processor.arch(),
+                    &self.program,
+                    &self.placement,
+                    &self.head_modules,
+                    self.head_home,
+                    &self.input,
+                );
+                self.graph_program = Some((self.placement, idx));
+                idx
+            }
+        }
     }
 
     /// The analytic twin providing slice timing, cost model and LUT.
@@ -1176,30 +1199,13 @@ impl CycleBackend {
         Ok(())
     }
 
-    /// Runs the slice's tasks over the timing graph: look up (or lower)
-    /// the current placement's node program, seed the time queue from
-    /// the machine's live completion state, then replay the arena once
-    /// per task.
+    /// Runs the slice's tasks over the timing graph: the current
+    /// placement's node program (lowered on first sight), replayed for
+    /// every task from the shared tape tier where it can be.
     fn replay_tasks(&mut self, run: &mut CycleRun, n_tasks: u32) -> Result<(), BackendError> {
-        let mut graph = std::mem::take(&mut self.graph);
-        let result = (|| {
-            let prog = graph.ensure_program(
-                &self.machine,
-                self.processor.arch(),
-                &self.program,
-                &self.placement,
-                &self.head_modules,
-                self.head_home,
-                &self.input,
-            );
-            graph.seed(&self.machine);
-            for _ in 0..n_tasks {
-                graph.replay_task(&mut self.machine, prog, &mut run.accs)?;
-            }
-            Ok(())
-        })();
-        self.graph = graph;
-        result
+        let prog = self.graph_program_index();
+        self.graph
+            .replay_tasks(&mut self.machine, prog, n_tasks, &mut run.accs)
     }
 
     /// One slice on the machine: re-place if the queue length changed,
@@ -1551,6 +1557,39 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// A start state that recurs replays the tape recorded from it —
+    /// a tape that does not loop (its task ends in another state), so
+    /// it must serve only the slice's first task, never a whole batch.
+    #[test]
+    fn recurring_perturbed_starts_match_the_object_walk() {
+        // A clock jump without accrual; a busy module; both.
+        for start in [
+            1 | 777 << 8,
+            2 | 5 << 40 | 40 << 48,
+            3 | 4_321 << 8 | 2 << 40,
+        ] {
+            let mut graph =
+                CycleBackend::new(Architecture::HhPim, TinyMlModel::MobileNetV2).unwrap();
+            let mut object =
+                CycleBackend::new(Architecture::HhPim, TinyMlModel::MobileNetV2).unwrap();
+            object.set_exec_mode(ExecMode::ObjectWalk);
+            let max = graph.runtime_config().max_tasks;
+            for slice in 0..6 {
+                graph.before_tasks = Some((perturb, start));
+                object.before_tasks = Some((perturb, start));
+                assert_eq!(
+                    graph.step_slice(max).unwrap(),
+                    object.step_slice(max).unwrap()
+                );
+                assert!(
+                    graph.machine() == object.machine(),
+                    "machines diverged after slice {slice} (start {start:#x})"
+                );
+            }
+            assert!(graph.timegraph().memo_stats().hits > 0);
         }
     }
 

@@ -30,7 +30,7 @@ use hhpim_pim::{MachineError, PimMachine};
 use std::fmt;
 
 /// Where compiled weights are placed inside each module.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WeightHome {
     /// Non-volatile MRAM (the H-PIM default).
     Mram,

@@ -498,7 +498,7 @@ impl SessionBuilder {
             .unwrap_or_else(|| default_policy(arch))
     }
 
-    fn make_processor(&self) -> Result<Processor, SessionError> {
+    fn make_processor(&self, store: &PlacementStore) -> Result<Processor, SessionError> {
         let (arch, model, cost_params, opt_config) = self.resolved();
         Ok(Processor::with_policy_in(
             arch,
@@ -506,7 +506,7 @@ impl SessionBuilder {
             cost_params,
             opt_config,
             self.make_policy(arch),
-            &self.resolved_store(),
+            store,
         )?)
     }
 
@@ -518,7 +518,9 @@ impl SessionBuilder {
     ///
     /// See [`SessionBuilder::build`].
     pub fn build_analytic(&self) -> Result<AnalyticBackend, SessionError> {
-        Ok(AnalyticBackend::from_processor(self.make_processor()?))
+        Ok(AnalyticBackend::from_processor(
+            self.make_processor(&self.resolved_store())?,
+        ))
     }
 
     /// Builds just the cycle backend — the escape hatch for code that
@@ -531,10 +533,12 @@ impl SessionBuilder {
     /// See [`SessionBuilder::build`].
     pub fn build_cycle(&self) -> Result<CycleBackend, SessionError> {
         let (_, model, _, _) = self.resolved();
+        let store = self.resolved_store();
         Ok(CycleBackend::from_processor(
-            self.make_processor()?,
+            self.make_processor(&store)?,
             model,
             self.head_home,
+            &store,
         )?)
     }
 
@@ -591,7 +595,7 @@ impl SessionBuilder {
         let store = self.resolved_store();
         let mut backends: Vec<Box<dyn ExecutionBackend>> = Vec::with_capacity(kinds.len());
         if !kinds.is_empty() {
-            let processor = self.make_processor()?;
+            let processor = self.make_processor(&store)?;
             for &kind in &kinds {
                 match kind {
                     BackendKind::Analytic => {
@@ -601,6 +605,7 @@ impl SessionBuilder {
                         processor.clone(),
                         model,
                         self.head_home,
+                        &store,
                     )?)),
                 }
             }

@@ -43,6 +43,13 @@
 //! [`PlacementStore::global`]), so tenants serving the same model on
 //! the same architecture share a single DP build.
 //!
+//! Beside the LUTs, the store keeps one task-tape tier per machine
+//! identity (architecture geometry, model, calibration and head
+//! override): every [`crate::CycleBackend`] built over the store
+//! replays its tasks from the tier of its identity, so a tape is
+//! recorded once per process rather than once per backend (see
+//! [`crate::timegraph`]).
+//!
 //! # Examples
 //!
 //! ```
@@ -68,10 +75,13 @@
 //! ```
 
 use crate::artifact::ArtifactStore;
+use crate::compile::WeightHome;
 use crate::cost::{CostModel, CostModelError};
 use crate::dp::{AllocationLut, OptimizerConfig, PlacementOptimizer};
 use crate::runtime::RuntimeConfig;
 use crate::space::Placement;
+use crate::timegraph::TapeTier;
+use hhpim_nn::TinyMlModel;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -84,6 +94,20 @@ enum KeyVariant {
     Lut,
     /// A resolved fixed home (architecture default or a caller pin).
     FixedHome(Option<Placement>),
+    /// The machine a cycle backend simulates (see [`TapeIdentity`]).
+    Machine,
+}
+
+/// Identity of the machine a cycle backend simulates: the architecture
+/// geometry, model footprint and calibration of a [`PlacementKey`], the
+/// model itself and the head override. Within one identity a placement
+/// fixes the lowered task program, so task tapes keyed by placement
+/// and relative start state may serve every backend of the identity.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct TapeIdentity {
+    machine: PlacementKey,
+    model: TinyMlModel,
+    head_override: Option<WeightHome>,
 }
 
 /// Canonical, hashable identity of one prepared-placement
@@ -201,6 +225,7 @@ impl PlacementKey {
         let variant = match self.variant {
             KeyVariant::Lut => "lut".to_string(),
             KeyVariant::FixedHome(None) => "fixed".to_string(),
+            KeyVariant::Machine => "machine".to_string(),
             KeyVariant::FixedHome(Some(p)) => {
                 let c = crate::space::StorageSpace::ALL.map(|s| p.get(s));
                 format!("fixed:{},{},{},{}", c[0], c[1], c[2], c[3])
@@ -273,6 +298,9 @@ type LutCell = Arc<OnceLock<Arc<AllocationLut>>>;
 pub struct PlacementStore {
     luts: Mutex<HashMap<PlacementKey, (LutCell, u64)>>,
     homes: Mutex<HashMap<PlacementKey, (Placement, u64)>>,
+    /// One task-tape tier per machine identity (never evicted: each is
+    /// bounded by its byte budget).
+    tapes: Mutex<HashMap<TapeIdentity, Arc<TapeTier>>>,
     /// Per-map entry cap; `None` = unbounded (the default).
     capacity: Option<usize>,
     /// Optional persistent disk tier consulted between a memory miss
@@ -493,6 +521,26 @@ impl PlacementStore {
         Ok(home)
     }
 
+    /// The task-tape tier of the machine a cycle backend for `model`
+    /// with head override `head_override` simulates under `cost`,
+    /// created empty on first request. Every backend built over this
+    /// store with the same identity shares the tier, so a task tape is
+    /// recorded once per process rather than once per backend.
+    pub(crate) fn tape_tier(
+        &self,
+        cost: &CostModel,
+        model: TinyMlModel,
+        head_override: Option<WeightHome>,
+    ) -> Arc<TapeTier> {
+        let identity = TapeIdentity {
+            machine: PlacementKey::base(cost, KeyVariant::Machine),
+            model,
+            head_override,
+        };
+        let mut tapes = self.tapes.lock().expect("placement store poisoned");
+        Arc::clone(tapes.entry(identity).or_default())
+    }
+
     /// Whether a built LUT for `(cost, runtime, opt)` is already
     /// cached (without touching the hit/miss counters).
     pub fn contains_lut(
@@ -533,11 +581,13 @@ impl PlacementStore {
         self.len() == 0
     }
 
-    /// Drops every cached entry (counters are kept — stats describe
-    /// the store's lifetime, not its current contents).
+    /// Drops every cached entry and task-tape tier (counters are kept
+    /// — stats describe the store's lifetime, not its current
+    /// contents; backends already built keep their tier).
     pub fn clear(&self) {
         self.luts.lock().expect("placement store poisoned").clear();
         self.homes.lock().expect("placement store poisoned").clear();
+        self.tapes.lock().expect("placement store poisoned").clear();
     }
 }
 

@@ -49,23 +49,32 @@
 //! Most tasks need not walk the arena at all. A task's effect depends
 //! only on its program and on the machine's state *relative to `now`*,
 //! and most tasks start from the same few relative states (usually a
-//! fully settled machine). The graph keeps a task memo: the first task
-//! from a given (program, relative start state) runs node by node with
-//! every energy accumulator recording its addends, and files a tape —
-//! the ordered f64 addends per accumulator between probe points, plus
-//! the integer effects (end instants, counter deltas, head state). A
-//! later task with the same key applies the addends in the same order,
-//! folds the total where the machine probed (through the same
-//! [`hhpim_pim::PimMachine::fold_total`] the probe uses) and restores
-//! the integer state, so every f64 operation is the node replay's and
-//! reports stay bit-identical. See [`MemoStats`] and
-//! `docs/timegraph.md`.
+//! fully settled machine). Tasks are therefore memoized as tapes: the
+//! first task from a given (placement, relative start state) runs node
+//! by node with every energy accumulator recording its addends, and
+//! files a tape — the ordered f64 addends per accumulator between probe
+//! points, plus the integer effects (end instants, counter deltas, head
+//! state). A later task with the same key applies the addends in the
+//! same order, folds the total where the machine probed (through the
+//! same [`hhpim_pim::PimMachine::fold_total`] the probe uses) and
+//! restores the integer state, so every f64 operation is the node
+//! replay's and reports stay bit-identical.
+//!
+//! Tapes live in a tape tier shared by every graph that simulates
+//! the same machine: the [`crate::PlacementStore`] keeps one tier per
+//! machine identity beside its LUTs, so a tape is recorded once per
+//! process, not once per backend. A graph locks its tier once per
+//! slice. A tape whose end state keys to its own start key is
+//! *self-looping*: every remaining task of the slice would replay it
+//! again, so its addends and folds are applied that many times over
+//! one energy view and its integer effects are composed once. See
+//! [`MemoStats`] and `docs/timegraph.md`.
 
 use crate::arch::ArchSpec;
 use crate::backend::BackendError;
 use crate::compile::{CompileError, CompiledProgram, LayerOp, WeightHome};
 use crate::engine::LayerAcc;
-use crate::space::Placement;
+use crate::space::{Placement, StorageSpace};
 use hhpim_isa::{MemSelect, ModuleMask};
 use hhpim_mem::{AccessKind, ClusterClass, MemKind, ResolvedAccess};
 use hhpim_pim::{MachineError, PimMachine, ENERGY_SLOTS};
@@ -73,6 +82,7 @@ use hhpim_sim::{Scalar, SimDuration, SimTime, TimeQueue};
 use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::ops::Range;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Kind of one lowered node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -192,13 +202,17 @@ struct NodeProgram {
     /// Whether the program runs the bit-exact head (and so leaves
     /// accumulator state behind on `head_modules`).
     has_head: bool,
+    /// The placement's group counts, packed as the first words of a
+    /// task key.
+    key: [u64; 2],
 }
 
 /// The cycle backend's flat timing graph: cached lowered programs (one
-/// per placement seen), the shared resolved-coefficient table, and the
-/// indexed time queue barriers resynchronize against. See the
-/// [module docs](self) for the design and equivalence contract.
-#[derive(Debug, Default)]
+/// per placement seen), the shared resolved-coefficient table, the
+/// indexed time queue barriers resynchronize against, and the tape
+/// tier of its machine identity. See the [module docs](self) for the
+/// design and equivalence contract.
+#[derive(Debug)]
 pub struct TimeGraph {
     programs: Vec<NodeProgram>,
     by_placement: HashMap<Placement, usize>,
@@ -206,13 +220,28 @@ pub struct TimeGraph {
     queue: TimeQueue,
     hp_modules: usize,
     module_count: usize,
-    memo: TaskMemo,
+    tier: Arc<TapeTier>,
+    /// Tasks this graph served from a tape.
+    hits: u64,
+    /// Tasks this graph replayed node by node.
+    misses: u64,
 }
 
 impl TimeGraph {
-    /// An empty graph; programs are lowered lazily per placement.
-    pub fn new() -> Self {
-        TimeGraph::default()
+    /// An empty graph drawing tapes from `tier`; programs are lowered
+    /// lazily per placement.
+    pub(crate) fn new(tier: Arc<TapeTier>) -> Self {
+        TimeGraph {
+            programs: Vec::new(),
+            by_placement: HashMap::new(),
+            table: None,
+            queue: TimeQueue::default(),
+            hp_modules: 0,
+            module_count: 0,
+            tier,
+            hits: 0,
+            misses: 0,
+        }
     }
 
     /// Number of lowered (cached) per-placement programs.
@@ -225,25 +254,26 @@ impl TimeGraph {
         self.programs.iter().map(|p| p.nodes.len()).sum()
     }
 
-    /// Task-memo counters: tasks served from a tape, tasks replayed
-    /// node by node, tapes held and their bytes.
+    /// Task-memo counters: this graph's tasks served from a tape and
+    /// replayed node by node, and the tapes (and their bytes) its
+    /// shared tier holds.
     pub fn memo_stats(&self) -> MemoStats {
+        let memo = self.tier.lock();
         MemoStats {
-            hits: self.memo.hits,
-            misses: self.memo.misses,
-            tapes: self.memo.tapes.len(),
-            bytes: self.memo.bytes(),
+            hits: self.hits,
+            misses: self.misses,
+            tapes: memo.tapes.len(),
+            bytes: memo.bytes(),
         }
     }
 
-    /// Drops every cached program and task tape (coefficients and queue
-    /// geometry survive); the next replay lowers afresh. Exists so
-    /// builds can be measured in isolation.
+    /// Drops every cached program (queue geometry survives; tapes live
+    /// in the shared tier and survive too); the next replay lowers
+    /// afresh. Exists so builds can be measured in isolation.
     pub fn clear(&mut self) {
         self.programs.clear();
         self.by_placement.clear();
         self.table = None;
-        self.memo = TaskMemo::default();
     }
 
     /// Returns the cached program index for `placement`, lowering it
@@ -361,6 +391,7 @@ impl TimeGraph {
             acts,
             head_modules: head_modules.to_vec(),
             has_head,
+            key: placement_words(placement),
         });
         self.by_placement.insert(*placement, idx);
         idx
@@ -368,10 +399,10 @@ impl TimeGraph {
 
     /// (Re)seeds the time queue from the machine's live completion
     /// state: one slot per module `free_at`, plus one per cluster issue
-    /// pipeline. Call once per slice, after any migration traffic and
+    /// pipeline. Runs once per slice, after any migration traffic and
     /// before the task loop — replay keeps the queue in lockstep from
     /// then on.
-    pub(crate) fn seed(&mut self, machine: &PimMachine) {
+    fn seed(&mut self, machine: &PimMachine) {
         let module_count = machine.module_count();
         if self.queue.len() != module_count + 2 {
             self.queue = TimeQueue::new(module_count + 2);
@@ -395,15 +426,16 @@ impl TimeGraph {
         }
     }
 
-    /// Runs one task of `program` on `machine`, accumulating per-layer
-    /// accounting into `accs` exactly as the object path's task loop
-    /// does (probe-chained deltas per layer).
+    /// Runs one slice's `n_tasks` tasks of `program` on `machine`,
+    /// accumulating per-layer accounting into `accs` exactly as the
+    /// object path's task loop does (probe-chained deltas per layer).
     ///
-    /// The task memo is consulted first: a task starting from a state
-    /// seen before (same program, same machine state relative to `now`;
-    /// see [`TaskMemo`]) replays its recorded tape instead of its nodes.
-    /// Otherwise the nodes run, and while the memo has room the run is
-    /// recorded as a new tape.
+    /// The tier is locked once for the slice. Each task is looked up by
+    /// its key (placement and machine state relative to `now`; see
+    /// [`TaskMemo`]): a hit replays its tape instead of its nodes — a
+    /// self-looping tape replays once for every task left — and a miss
+    /// runs the nodes, recording them as a new tape while the tier has
+    /// room.
     ///
     /// # Errors
     ///
@@ -411,47 +443,66 @@ impl TimeGraph {
     /// envelopes as the interpreted path: schedule streams surface as
     /// [`BackendError::Machine`], head operations as
     /// [`BackendError::Compile`].
-    pub(crate) fn replay_task(
+    pub(crate) fn replay_tasks(
         &mut self,
         machine: &mut PimMachine,
         program: usize,
+        n_tasks: u32,
         accs: &mut [LayerAcc],
     ) -> Result<(), BackendError> {
+        self.seed(machine);
         let table = self.table.expect("ensure_program ran before replay");
         let prog = &self.programs[program];
-        let memo = &mut self.memo;
-        memo.load_key(machine, &mut self.queue, program);
-        if let Some(&tape) = memo.index.get(&memo.key[..]) {
-            memo.hits += 1;
-            return memo.apply(tape, machine, &mut self.queue, prog, accs);
-        }
-        memo.misses += 1;
-        let mut run =
-            |machine: &mut PimMachine, queue: &mut TimeQueue, rec: Option<&mut TapeRecorder>| {
+        let queue = &mut self.queue;
+        let (hp_modules, module_count) = (self.hp_modules, self.module_count);
+        let mut memo = self.tier.lock();
+        let memo = &mut *memo;
+        let mut left = u64::from(n_tasks);
+        while left > 0 {
+            load_key(&mut memo.key, machine, queue, prog.key);
+            if let Some(&id) = memo.index.get(&memo.key[..]) {
+                let reps = if memo.tapes[id].self_looping { left } else { 1 };
+                memo.apply(id, reps, machine, queue, prog, accs)?;
+                self.hits += reps;
+                left -= reps;
+                continue;
+            }
+            self.misses += 1;
+            left -= 1;
+            if memo.full {
                 run_nodes(
                     machine,
                     queue,
                     &table,
                     prog,
-                    self.hp_modules,
-                    self.module_count,
+                    hp_modules,
+                    module_count,
                     accs,
-                    rec,
-                )
-            };
-        if memo.full {
-            return run(machine, &mut self.queue, None);
-        }
-        let start = machine.now();
-        memo.load_scalars(machine, &mut self.queue, false);
-        let mut recorder = TapeRecorder::default();
-        machine.set_energy_recording(true);
-        let result = run(machine, &mut self.queue, Some(&mut recorder));
-        machine.set_energy_recording(false);
-        result?;
-        memo.load_scalars(machine, &mut self.queue, true);
-        if let Some(task) = recorder.finish(memo, machine, prog, start) {
-            memo.insert(task);
+                    None,
+                )?;
+                continue;
+            }
+            let start = machine.now();
+            memo.load_scalars(machine, queue, false);
+            let mut recorder = TapeRecorder::default();
+            machine.set_energy_recording(true);
+            let result = run_nodes(
+                machine,
+                queue,
+                &table,
+                prog,
+                hp_modules,
+                module_count,
+                accs,
+                Some(&mut recorder),
+            );
+            machine.set_energy_recording(false);
+            result?;
+            memo.load_scalars(machine, queue, true);
+            load_key(&mut memo.end_key, machine, queue, prog.key);
+            if let Some(task) = recorder.finish(memo, machine, prog, start) {
+                memo.insert(task);
+            }
         }
         Ok(())
     }
@@ -515,30 +566,68 @@ fn preload_head(machine: &mut PimMachine, prog: &NodeProgram) -> Result<(), Back
     Ok(())
 }
 
-/// Byte budget of one graph's task memo. Past it, unseen start states
-/// replay node by node without being recorded.
+/// Byte budget of one tier's tapes. Past it, unseen start states replay
+/// node by node without being recorded.
 const MEMO_BUDGET_BYTES: usize = 64 * 1024;
 
 /// Counters of a [`TimeGraph`]'s task memo (see
 /// [`TimeGraph::memo_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoStats {
-    /// Tasks replayed from a recorded tape.
+    /// Tasks this graph replayed from a recorded tape.
     pub hits: u64,
-    /// Tasks replayed node by node (recorded while the memo had room).
+    /// Tasks this graph replayed node by node (recorded while the tier
+    /// had room).
     pub misses: u64,
-    /// Tapes held.
+    /// Tapes held by the graph's tier, which every graph of the same
+    /// machine identity shares.
     pub tapes: usize,
-    /// Bytes held by the tapes, their keys and their shared blocks.
+    /// Bytes held by the tier's tapes, their keys and their shared
+    /// blocks.
     pub bytes: usize,
 }
 
-/// Tapes of recorded tasks, keyed by program and start state.
+/// The tapes of one machine identity, shared through the
+/// [`crate::PlacementStore`] by every [`TimeGraph`] that simulates that
+/// machine (see [`crate::PlacementStore`]'s tape tiers). A graph locks
+/// it once per slice.
+#[derive(Default)]
+pub(crate) struct TapeTier {
+    memo: Mutex<TaskMemo>,
+}
+
+impl TapeTier {
+    /// Locks the tier. Tapes are a cache: if a panic poisoned the lock,
+    /// a tape may be half filed, so the tier drops every tape and
+    /// carries on empty.
+    fn lock(&self) -> MutexGuard<'_, TaskMemo> {
+        self.memo.lock().unwrap_or_else(|poisoned| {
+            let mut memo = poisoned.into_inner();
+            *memo = TaskMemo::default();
+            self.memo.clear_poison();
+            memo
+        })
+    }
+}
+
+impl std::fmt::Debug for TapeTier {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut out = f.debug_struct("TapeTier");
+        if let Ok(memo) = self.memo.try_lock() {
+            out.field("tapes", &memo.tapes.len())
+                .field("bytes", &memo.bytes());
+        }
+        out.finish_non_exhaustive()
+    }
+}
+
+/// Tapes of recorded tasks, keyed by placement and start state.
 ///
 /// A task's effect on the machine is a function of its program and of
 /// the machine's state *relative to `now`*: every operation starts at
-/// or after `now`, so absolute time only shifts the result. The key
-/// therefore holds, besides the program index:
+/// or after `now`, so absolute time only shifts the result. Within one
+/// machine identity the placement fixes the program, so the key holds,
+/// besides the placement's group counts:
 ///
 /// * every power flag (which banks, PEs and controllers accrue static
 ///   energy — also which banks reject accesses as gated);
@@ -555,9 +644,9 @@ pub struct MemoStats {
 /// by its program.
 ///
 /// Storage is deduplicated: a tape is a list of [`Block`]s (one per
-/// probe point), and tapes of one program that started from different
-/// states share every block past the point where they converge — as do
-/// layers of one program that do the same work.
+/// probe point), and tapes of one placement that started from
+/// different states share every block past the point where they
+/// converge — as do layers of one program that do the same work.
 #[derive(Debug, Default)]
 struct TaskMemo {
     /// Key → tape.
@@ -571,12 +660,12 @@ struct TaskMemo {
     /// Addends of every group, in picojoules (the `f64` inside each
     /// [`hhpim_mem::Energy`]).
     addends: Vec<f64>,
-    hits: u64,
-    misses: u64,
     /// Set once a tape did not fit the budget: recording stops.
     full: bool,
     /// The current task's key (a reused buffer).
     key: Vec<u64>,
+    /// The key of a recorded task's end state (a reused buffer).
+    end_key: Vec<u64>,
     /// Scalar state at the start of a recorded task (a reused buffer).
     start: Vec<u64>,
     /// Scalar state at its end (a reused buffer).
@@ -586,51 +675,65 @@ struct TaskMemo {
     instants: Vec<bool>,
 }
 
-impl TaskMemo {
-    /// Builds the key of a task of `program` starting from `machine`'s
-    /// current state into `self.key`: the program, the power flags,
-    /// then `(index, offset)` for every instant whose offset from `now`
-    /// is not zero — instants are walked in a fixed order, so the pairs
-    /// spell out the whole relative state while a settled machine (the
-    /// common case) keys in two words. A powered component's accrual
-    /// mark may lie on either side of `now`; its offset wraps.
-    #[inline]
-    fn load_key(&mut self, machine: &mut PimMachine, queue: &mut TimeQueue, program: usize) {
-        let now = machine.now().as_ps();
-        let key = &mut self.key;
-        key.clear();
-        key.push(program as u64);
-        key.push(0);
-        let mut flags = 0u64;
-        let mut bit = 0u32;
-        let mut index = 0u64;
-        let mut visit = |scalar: Scalar<'_>| {
-            let offset = match scalar {
-                Scalar::Free(t) => t.as_ps().max(now) - now,
-                Scalar::Accrual(t, powered) => {
-                    flags |= u64::from(powered) << bit;
-                    bit += 1;
-                    if powered {
-                        t.as_ps().wrapping_sub(now)
-                    } else {
-                        t.as_ps().max(now) - now
-                    }
-                }
-                Scalar::Busy(_) | Scalar::Count(_) => return,
-            };
-            if offset != 0 {
-                key.push(index);
-                key.push(offset);
-            }
-            index += 1;
-        };
-        // At most 26 flags: three per module (of at most eight), one
-        // per controller.
-        machine.visit_scalars(&mut visit);
-        queue.visit_scalars(&mut visit);
-        key[1] = flags;
-    }
+/// The placement's group counts as the two leading words of a task
+/// key.
+fn placement_words(placement: &Placement) -> [u64; 2] {
+    let [a, b, c, d] = StorageSpace::ALL.map(|space| {
+        u64::from(u32::try_from(placement.get(space)).expect("group counts fit 32 bits"))
+    });
+    [a | b << 32, c | d << 32]
+}
 
+/// Builds the key of a task of the program with placement words
+/// `placement` starting from `machine`'s current state into `key`: the
+/// placement, the power flags, then `(index, offset)` for every instant
+/// whose offset from `now` is not zero — instants are walked in a fixed
+/// order, so the pairs spell out the whole relative state while a
+/// settled machine (the common case) keys in three words. A powered
+/// component's accrual mark may lie on either side of `now`; its offset
+/// wraps.
+#[inline]
+fn load_key(
+    key: &mut Vec<u64>,
+    machine: &mut PimMachine,
+    queue: &mut TimeQueue,
+    placement: [u64; 2],
+) {
+    let now = machine.now().as_ps();
+    key.clear();
+    key.extend_from_slice(&placement);
+    key.push(0);
+    let mut flags = 0u64;
+    let mut bit = 0u32;
+    let mut index = 0u64;
+    let mut visit = |scalar: Scalar<'_>| {
+        let offset = match scalar {
+            Scalar::Free(t) => t.as_ps().max(now) - now,
+            Scalar::Accrual(t, powered) => {
+                flags |= u64::from(powered) << bit;
+                bit += 1;
+                if powered {
+                    t.as_ps().wrapping_sub(now)
+                } else {
+                    t.as_ps().max(now) - now
+                }
+            }
+            Scalar::Busy(_) | Scalar::Count(_) => return,
+        };
+        if offset != 0 {
+            key.push(index);
+            key.push(offset);
+        }
+        index += 1;
+    };
+    // At most 26 flags: three per module (of at most eight), one per
+    // controller.
+    machine.visit_scalars(&mut visit);
+    queue.visit_scalars(&mut visit);
+    key[2] = flags;
+}
+
+impl TaskMemo {
     /// Copies every scalar of `machine` and `queue` into `self.start`
     /// (or `self.end`), in walk order.
     fn load_scalars(&mut self, machine: &mut PimMachine, queue: &mut TimeQueue, end: bool) {
@@ -656,17 +759,17 @@ impl TaskMemo {
     }
 
     /// Bytes held: the key index, the tapes, the blocks and their
-    /// groups and addends (by capacity).
+    /// groups and addends. Arenas are counted by length: they grow
+    /// geometrically, so their capacity holds at most as much again.
     fn bytes(&self) -> usize {
         use std::mem::{size_of, size_of_val};
-        self.index.capacity() * (size_of::<(Box<[u64]>, usize)>() + 1)
+        self.index.len() * (size_of::<(Box<[u64]>, usize)>() + 1)
             + self.index.keys().map(|k| size_of_val(&**k)).sum::<usize>()
-            + self.tapes.capacity() * size_of::<Tape>()
+            + self.tapes.len() * size_of::<Tape>()
             + self.tapes.iter().map(Tape::heap_bytes).sum::<usize>()
-            + self.blocks.capacity() * size_of::<Block>()
-            + self.block_hashes.capacity() * size_of::<u64>()
-            + self.groups.capacity() * size_of::<Group>()
-            + self.addends.capacity() * size_of::<f64>()
+            + self.blocks.len() * (size_of::<Block>() + size_of::<u64>())
+            + self.groups.len() * size_of::<Group>()
+            + self.addends.len() * size_of::<f64>()
     }
 
     /// Returns the id of a block equal to `block` (over `groups` and
@@ -710,8 +813,9 @@ impl TaskMemo {
         u16::try_from(id).expect("block ids fit 16 bits")
     }
 
-    /// Files a recorded task under the current key, unless that would
-    /// take the memo past its budget (recording then stops for good).
+    /// Files a recorded task under the current key — self-looping when
+    /// its end state keys to that same key — unless that would take the
+    /// tier past its budget (recording then stops for good).
     fn insert(&mut self, recorded: RecordedTask) {
         let lens = (self.blocks.len(), self.groups.len(), self.addends.len());
         let blocks = recorded.blocks.iter().map(|b| self.intern(b)).collect();
@@ -720,11 +824,12 @@ impl TaskMemo {
             effects: recorded.effects.into_boxed_slice(),
             values: recorded.values.into_boxed_slice(),
             heads: recorded.heads.into_boxed_slice(),
+            advance: recorded.advance,
+            self_looping: self.end_key == self.key,
         };
         self.index
             .insert(self.key.clone().into_boxed_slice(), self.tapes.len());
         self.tapes.push(tape);
-        self.shrink();
         if self.bytes() > MEMO_BUDGET_BYTES {
             self.index.remove(&self.key[..]);
             self.tapes.pop();
@@ -732,29 +837,21 @@ impl TaskMemo {
             self.block_hashes.truncate(lens.0);
             self.groups.truncate(lens.1);
             self.addends.truncate(lens.2);
-            self.shrink();
             self.full = true;
         }
     }
 
-    /// Trims every store to its length, so [`Self::bytes`] is what the
-    /// memo holds.
-    fn shrink(&mut self) {
-        self.index.shrink_to_fit();
-        self.tapes.shrink_to_fit();
-        self.blocks.shrink_to_fit();
-        self.block_hashes.shrink_to_fit();
-        self.groups.shrink_to_fit();
-        self.addends.shrink_to_fit();
-    }
-
-    /// Replays tape `id` on `machine`: each block's addends into an
-    /// energy view, the view folded at every probe point for the
-    /// per-layer deltas, then the view, scalars, head state and host
-    /// preload written back.
+    /// Replays tape `id` `reps` times back to back on `machine` (`reps`
+    /// is 1 unless the tape is self-looping): each block's addends into
+    /// one energy view, the view folded at every probe point for the
+    /// per-layer deltas, then the view written back and the integer
+    /// effects composed once — the instants the last replay sets, `reps`
+    /// times every busy-time and counter delta, the head state — and
+    /// the host preload repeated per replay.
     fn apply(
         &self,
         id: usize,
+        reps: u64,
         machine: &mut PimMachine,
         queue: &mut TimeQueue,
         prog: &NodeProgram,
@@ -763,39 +860,48 @@ impl TaskMemo {
         let tape = &self.tapes[id];
         let start = machine.now().as_ps();
         let mut view = machine.energy_view();
-        let mut prev = 0.0;
-        for (layer, &block) in tape.blocks.iter().enumerate() {
-            let block = &self.blocks[usize::from(block)];
-            let mut addend = block.addends as usize;
-            for group in &self.groups[block.groups.0 as usize..block.groups.1 as usize] {
-                let adds = &self.addends[addend..addend + usize::from(group.len)];
-                addend += usize::from(group.len);
-                let row = usize::from(group.kind) * 8;
-                add_in_order(
-                    &mut view.0[row + usize::from(group.lo)..row + usize::from(group.hi)],
-                    adds,
-                );
+        for _ in 0..reps {
+            let mut prev = 0.0;
+            for (layer, &block) in tape.blocks.iter().enumerate() {
+                let block = &self.blocks[usize::from(block)];
+                let mut addend = block.addends as usize;
+                for group in &self.groups[block.groups.0 as usize..block.groups.1 as usize] {
+                    let row = &mut view.0[usize::from(group.kind) * 8..][..8];
+                    let len = usize::from(group.len);
+                    if group.paired {
+                        add_paired(row, &self.addends[addend..addend + 2 * len]);
+                        addend += 2 * len;
+                    } else {
+                        add_in_order(
+                            &mut row[usize::from(group.lo)..usize::from(group.hi)],
+                            &self.addends[addend..addend + len],
+                        );
+                        addend += len;
+                    }
+                }
+                let total = machine.fold_total(&view).as_pj();
+                if let Some(i) = layer.checked_sub(1) {
+                    accs[i].macs += block.macs;
+                    accs[i].time += block.time;
+                    accs[i].energy_pj += total - prev;
+                }
+                prev = total;
             }
-            let total = machine.fold_total(&view).as_pj();
-            if let Some(i) = layer.checked_sub(1) {
-                accs[i].macs += block.macs;
-                accs[i].time += block.time;
-                accs[i].energy_pj += total - prev;
-            }
-            prev = total;
         }
         machine.set_energy_view(&view);
+        // Each replay starts `advance` after the one before it.
+        let last_start = start + (reps - 1) * tape.advance;
         let mut effects = tape.effects.iter();
         let mut visit = |scalar: Scalar<'_>| {
             let effect = tape.values[usize::from(*effects.next().expect("one effect per scalar"))];
             match scalar {
                 Scalar::Free(t) | Scalar::Accrual(t, _) => {
                     if effect != 0 {
-                        *t = SimTime::from_ps(start + effect - 1);
+                        *t = SimTime::from_ps(last_start + effect - 1);
                     }
                 }
-                Scalar::Busy(d) => *d += SimDuration::from_ps(effect),
-                Scalar::Count(c) => *c = c.wrapping_add(effect),
+                Scalar::Busy(d) => *d += SimDuration::from_ps(effect.wrapping_mul(reps)),
+                Scalar::Count(c) => *c = c.wrapping_add(effect.wrapping_mul(reps)),
             }
         };
         machine.visit_scalars(&mut visit);
@@ -804,15 +910,17 @@ impl TaskMemo {
             machine.module_mut(g).set_acc_state((acc, act_ptr as usize));
         }
         if prog.has_head {
-            preload_head(machine, prog)?;
+            for _ in 0..reps {
+                preload_head(machine, prog)?;
+            }
         }
         Ok(())
     }
 }
 
-/// Adds `adds`, in order, to every lane. The common shapes — one
-/// cluster's four modules or the two controllers, taking one or two
-/// addends — are spelled out at fixed width, which compiles to
+/// Adds `adds`, in order, to every lane. The common shapes — a whole
+/// row, one cluster's four modules or the two controllers, taking one
+/// or two addends — are spelled out at fixed width, which compiles to
 /// straight-line code instead of a loop nest whose trip counts change
 /// from group to group.
 #[inline]
@@ -833,12 +941,40 @@ fn add_in_order(lanes: &mut [f64], adds: &[f64]) {
             *a += x;
             *b += x;
         }
+        ([a, b, c, d, e, f, g, h], adds) => {
+            for &x in adds {
+                for acc in [
+                    &mut *a, &mut *b, &mut *c, &mut *d, &mut *e, &mut *f, &mut *g, &mut *h,
+                ] {
+                    *acc += x;
+                }
+            }
+        }
         (lanes, adds) => {
             for acc in lanes {
                 for &x in adds {
                     *acc += x;
                 }
             }
+        }
+    }
+}
+
+/// Applies a paired group to a whole row: `adds` interleaves the
+/// sequence of lanes `0..4` with the equally long sequence of lanes
+/// `4..8`, and every lane takes its own sequence in order.
+#[inline]
+fn add_paired(row: &mut [f64], adds: &[f64]) {
+    let [a, b, c, d, e, f, g, h] = row else {
+        unreachable!("a view row has eight lanes")
+    };
+    for pair in adds.chunks_exact(2) {
+        let (x, y) = (pair[0], pair[1]);
+        for acc in [&mut *a, &mut *b, &mut *c, &mut *d] {
+            *acc += x;
+        }
+        for acc in [&mut *e, &mut *f, &mut *g, &mut *h] {
+            *acc += y;
         }
     }
 }
@@ -862,6 +998,11 @@ struct Tape {
     values: Box<[u64]>,
     /// Accumulator and activation pointer of every head module.
     heads: Box<[(i32, u32)]>,
+    /// How far the task moves the machine clock, in picoseconds.
+    advance: u64,
+    /// Whether the task's end state keys to its start key, so the next
+    /// task of the slice replays this tape again.
+    self_looping: bool,
 }
 
 impl Tape {
@@ -887,13 +1028,16 @@ struct Block {
 
 /// `len` addends applied, in order, to lanes `lo..hi` of row `kind` of
 /// the [`EnergyView`](hhpim_pim::EnergyView): one accumulator of a run
-/// of modules (rows `0..8`) or of controllers (rows 8 and 9).
+/// of modules (rows `0..8`) or of controllers (rows 8 and 9). A
+/// `paired` group covers the whole row with `2 × len` interleaved
+/// addends (see [`add_paired`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Group {
     kind: u8,
     lo: u8,
     hi: u8,
     len: u8,
+    paired: bool,
 }
 
 /// A block as recorded, before interning.
@@ -912,6 +1056,7 @@ struct RecordedTask {
     effects: Vec<u8>,
     values: Vec<u64>,
     heads: Vec<(i32, u32)>,
+    advance: u64,
 }
 
 /// Collects a tape's blocks while a task runs node by node with energy
@@ -939,7 +1084,9 @@ impl Default for TapeRecorder {
 impl TapeRecorder {
     /// Closes one block: drains every accumulator's recorded addends
     /// and groups runs of lanes of one row whose addend sequences are
-    /// bit-equal (the modules of a cluster usually are).
+    /// bit-equal (the modules of a cluster usually are). A run over
+    /// lanes `0..4` and one over lanes `4..8` taking equally many
+    /// addends become one paired group.
     fn close_layer(&mut self, machine: &mut PimMachine) {
         let (by_slot, sequences) = (&mut self.by_slot, &mut self.sequences);
         by_slot.fill((0, 0));
@@ -952,6 +1099,8 @@ impl TapeRecorder {
         let seq = |(from, to): (u32, u32)| &sequences[from as usize..to as usize];
         let mut block = RecordedBlock::default();
         for (kind, row) in by_slot.chunks_exact(8).enumerate() {
+            let kind = kind as u8;
+            let mut runs = Vec::new();
             let mut done = 0u8;
             for (lane, &range) in row.iter().enumerate() {
                 if range.0 == range.1 || done >> lane & 1 == 1 {
@@ -965,21 +1114,48 @@ impl TapeRecorder {
                     }
                 }
                 done |= lanes;
-                // One group per run of consecutive lanes, and per 255
-                // addends.
                 while lanes != 0 {
                     let lo = lanes.trailing_zeros() as u8;
                     let hi = lo + (lanes >> lo).trailing_ones() as u8;
                     lanes &= !(((1u16 << hi) - (1u16 << lo)) as u8);
-                    for chunk in adds.chunks(usize::from(u8::MAX)) {
+                    runs.push((lo, hi, adds));
+                }
+            }
+            let hp = runs.iter().position(|&(lo, hi, _)| (lo, hi) == (0, 4));
+            let lp = runs.iter().position(|&(lo, hi, _)| (lo, hi) == (4, 8));
+            if let (Some(h), Some(l)) = (hp, lp) {
+                let (xs, ys) = (runs[h].2, runs[l].2);
+                if xs.len() == ys.len() {
+                    // One group per 255 pairs.
+                    for (xs, ys) in xs
+                        .chunks(usize::from(u8::MAX))
+                        .zip(ys.chunks(usize::from(u8::MAX)))
+                    {
                         block.groups.push(Group {
-                            kind: kind as u8,
-                            lo,
-                            hi,
-                            len: chunk.len() as u8,
+                            kind,
+                            lo: 0,
+                            hi: 8,
+                            len: xs.len() as u8,
+                            paired: true,
                         });
-                        block.addends.extend_from_slice(chunk);
+                        for (&x, &y) in xs.iter().zip(ys) {
+                            block.addends.extend_from_slice(&[x, y]);
+                        }
                     }
+                    runs.retain(|&(lo, hi, _)| (lo, hi) != (0, 4) && (lo, hi) != (4, 8));
+                }
+            }
+            // One group per run, and per 255 addends.
+            for (lo, hi, adds) in runs {
+                for chunk in adds.chunks(usize::from(u8::MAX)) {
+                    block.groups.push(Group {
+                        kind,
+                        lo,
+                        hi,
+                        len: chunk.len() as u8,
+                        paired: false,
+                    });
+                    block.addends.extend_from_slice(chunk);
                 }
             }
         }
@@ -1037,6 +1213,7 @@ impl TapeRecorder {
             effects,
             values,
             heads,
+            advance: machine.now().as_ps() - start_ps,
         })
     }
 }
@@ -1330,6 +1507,103 @@ mod tests {
         );
         assert!(stats.tapes > 0);
         assert!(stats.bytes <= 64 * 1024, "memo holds {} bytes", stats.bytes);
+    }
+
+    /// A cycle backend over `store` (HH-PIM, LUT placement).
+    fn over(
+        store: &Arc<crate::PlacementStore>,
+        arch: Architecture,
+        model: TinyMlModel,
+        head: Option<WeightHome>,
+    ) -> CycleBackend {
+        let mut builder = crate::session::SessionBuilder::new()
+            .architecture(arch)
+            .model(model)
+            .store(Arc::clone(store));
+        if let Some(home) = head {
+            builder = builder.head_home(home);
+        }
+        builder.build_cycle().unwrap()
+    }
+
+    /// A 24-slice stream alternating full and single-task queues, so
+    /// slices re-place and run self-looping batches.
+    fn full_single(backend: &mut CycleBackend) -> ExecutionReport {
+        let full = backend.runtime_config().max_tasks;
+        backend.begin_stream().unwrap();
+        for slice in 0..24 {
+            backend
+                .step_slice(if slice % 2 == 0 { full } else { 1 })
+                .unwrap();
+        }
+        backend.finish_stream().unwrap()
+    }
+
+    #[test]
+    fn a_second_backend_over_a_warm_store_records_no_tapes() {
+        let store = crate::PlacementStore::shared();
+        let mut first = over(&store, Architecture::HhPim, TinyMlModel::MobileNetV2, None);
+        let cold = full_single(&mut first);
+        let recorded = first.timegraph().memo_stats();
+        assert!(recorded.misses > 0 && recorded.tapes > 0, "{recorded:?}");
+        let mut second = over(&store, Architecture::HhPim, TinyMlModel::MobileNetV2, None);
+        assert_eq!(full_single(&mut second), cold);
+        let warm = second.timegraph().memo_stats();
+        assert_eq!(warm.misses, 0, "{warm:?}");
+        assert_eq!(warm.hits, recorded.hits + recorded.misses);
+        assert_eq!(warm.tapes, recorded.tapes, "no tape was added");
+        // Per-graph counters: the first backend's did not move.
+        assert_eq!(first.timegraph().memo_stats().misses, recorded.misses);
+    }
+
+    #[test]
+    fn distinct_machine_identities_never_share_tapes() {
+        use TinyMlModel::{MobileNetV2, ResNet18};
+        let mbv2 = (Architecture::HhPim, MobileNetV2, None);
+        for (a, b) in [
+            (mbv2, (Architecture::Hybrid, MobileNetV2, None)),
+            (mbv2, (Architecture::HhPim, ResNet18, None)),
+            (
+                mbv2,
+                (Architecture::HhPim, MobileNetV2, Some(WeightHome::Mram)),
+            ),
+        ] {
+            let shared = crate::PlacementStore::shared();
+            full_single(&mut over(&shared, a.0, a.1, a.2));
+            let mut after = over(&shared, b.0, b.1, b.2);
+            let mut alone = over(&crate::PlacementStore::shared(), b.0, b.1, b.2);
+            assert_eq!(full_single(&mut after), full_single(&mut alone), "{b:?}");
+            // Recording as much as a backend over an empty store: no
+            // tape of `a` served `b`.
+            assert_eq!(
+                after.timegraph().memo_stats(),
+                alone.timegraph().memo_stats(),
+                "{a:?} shared tapes with {b:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_panic_under_the_tier_lock_drops_its_tapes() {
+        let store = crate::PlacementStore::shared();
+        let mut first = over(&store, Architecture::HhPim, TinyMlModel::MobileNetV2, None);
+        let reference = full_single(&mut first);
+        let tier = Arc::clone(&first.timegraph().tier);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut memo = tier.memo.lock().unwrap();
+            // A tape half filed: its key is in, the tape is not.
+            memo.index.values_mut().for_each(|tape| *tape = usize::MAX);
+            panic!("panic while filing a tape");
+        }));
+        assert!(caught.is_err() && tier.memo.is_poisoned());
+        let mut later = over(&store, Architecture::HhPim, TinyMlModel::MobileNetV2, None);
+        assert_eq!(full_single(&mut later), reference);
+        assert!(!tier.memo.is_poisoned());
+        let stats = later.timegraph().memo_stats();
+        assert!(
+            stats.misses > 0 && stats.tapes > 0,
+            "tapes re-recorded: {stats:?}"
+        );
     }
 
     /// Delegates to a real cycle backend but fails one chosen slice —
